@@ -6,6 +6,7 @@ models, s-formality checks, and fibration model constructions — all in
 exact rational arithmetic.
 """
 
-from ._core import BACKEND as kernel_backend  # noqa: F401
+# the row-reduction kernel is pure Python (cdga._core.rref_int)
+kernel_backend = "python"
 
 __version__ = "1.0.0"

@@ -1,4 +1,4 @@
-"""Pure-Python fraction-free reduced row echelon kernel.
+"""Fraction-free reduced row echelon kernel.
 
 Gauss-Jordan elimination in the Bareiss/Montante style: all arithmetic is on
 integers, each update divides exactly by the previous pivot, so entries stay

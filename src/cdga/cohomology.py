@@ -130,12 +130,7 @@ class CohomologySummary:
     def d_matrix(self, k):
         m = self._d_matrix.get(k)
         if m is None:
-            ctx = self.ctx
-            cols = []
-            for e in ctx.basis_elements(k):
-                cols.append(ctx.coords(ctx.d(e), k + 1))
-            m = Matrix([[col[r] for col in cols] for r in range(ctx.dim(k + 1))],
-                       cols=ctx.dim(k))
+            m = _assemble_d_matrix(self.ctx, k)
             self._d_matrix[k] = m
         return m
 
@@ -188,8 +183,7 @@ class CohomologySummary:
         if solver is None:
             cols = list(self._rep_vectors[k]) + list(self.coboundaries[k].basis)
             solver = exactla.LinearSolver(
-                Matrix([[col[r] for col in cols]
-                        for r in range(self.ctx.dim(k))], cols=len(cols)))
+                Matrix.from_columns(cols, self.ctx.dim(k)))
             self._class_solver[k] = solver
         x = solver.solve(self.ctx.coords(e, k))
         return k, tuple(x[:self.betti[k]])
@@ -227,6 +221,12 @@ class CohomologySummary:
         return out
 
 
+def _assemble_d_matrix(ctx, k):
+    """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
+    cols = [ctx.coords(ctx.d(e), k + 1) for e in ctx.basis_elements(k)]
+    return Matrix.from_columns(cols, ctx.dim(k + 1))
+
+
 def compute(obj, max_degree, with_cup=True) -> CohomologySummary:
     """Cohomology of a free or tabular DGA up to max_degree."""
     return CohomologySummary(obj, max_degree, with_cup=with_cup)
@@ -240,11 +240,8 @@ def is_exact(obj, z):
     k = z.degree()
     if not ctx.d(z).is_zero():
         raise NotACocycle("element is not closed")
-    cols = [ctx.coords(ctx.d(e), k) for e in ctx.basis_elements(k - 1)]
-    m = Matrix([[col[r] for col in cols] for r in range(ctx.dim(k))],
-               cols=ctx.dim(k - 1))
     try:
-        x = exactla.solve(m, ctx.coords(z, k))
+        x = exactla.solve(_assemble_d_matrix(ctx, k - 1), ctx.coords(z, k))
     except exactla.NoSolution:
         return False, None
     return True, ctx.from_coords(k - 1, x)

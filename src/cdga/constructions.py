@@ -196,9 +196,7 @@ class CohomologyAutomorphism:
         for r in range(summary.max_degree + 1):
             cols = [summary.class_coords(phi(rep), degree=r)[1]
                     for rep in summary.representatives[r]]
-            mats[r] = Matrix([[col[i] for col in cols]
-                              for i in range(summary.betti[r])],
-                             cols=summary.betti[r])
+            mats[r] = Matrix.from_columns(cols, summary.betti[r])
         return cls(summary, mats,
                    provenance=["induced by an algebra automorphism that "
                                "commutes with the differential"])
@@ -317,9 +315,7 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
 
     def coker_coords(r, vec):
         cols = list(cokers[r]) + list(ims[r].basis)
-        solver = Matrix([[col[t] for col in cols] for t in range(h.betti[r])],
-                        cols=len(cols))
-        x = exactla.solve(solver, vec)
+        x = exactla.solve(Matrix.from_columns(cols, h.betti[r]), vec)
         return x[:len(cokers[r])]
 
     products = {}

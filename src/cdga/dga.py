@@ -129,14 +129,6 @@ class DGA:
         return self.algebra.gen(name)
 
 
-def apply_d(dga: DGA, e: Element) -> Element:
-    return dga.d(e)
-
-
-def validate(dga: DGA, max_degree=None) -> ValidationReport:
-    return dga.validate(max_degree)
-
-
 class TabularDGA:
     """A finite-dimensional DGA given by a basis, product table, differential.
 

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q: rank, kernel, image, solving, quotients.
 
 Matrices are dense tuples of Fractions.  Row reduction goes through the
-fraction-free integer kernel in cdga._core (compiled when available); rows
-are scaled to integers first and pivot rows are rescaled back at the end.
+fraction-free integer kernel in cdga._core; rows are scaled to integers
+first and pivot rows are rescaled back at the end.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
@@ -16,11 +16,18 @@ from ._core import rref_int
 from .errors import DimensionMismatch, NoSolution
 
 
+_ZERO = Fraction(0)
+
+
 def _to_int_row(row):
+    # rows are mostly zeros with unit denominators; both skip the Fraction
+    # properties
     denlcm = 1
     for x in row:
-        denlcm = denlcm * x.denominator // math.gcd(denlcm, x.denominator)
-    return [x.numerator * (denlcm // x.denominator) for x in row]
+        d = x.denominator
+        if d != 1:
+            denlcm = denlcm * d // math.gcd(denlcm, d)
+    return [x.numerator * (denlcm // x.denominator) if x else 0 for x in row]
 
 
 def rref_rows(rows, ncols):
@@ -32,7 +39,7 @@ def rref_rows(rows, ncols):
     out = []
     for r, c in enumerate(pivots):
         p = reduced[r][c]
-        out.append(tuple(Fraction(x, p) for x in reduced[r]))
+        out.append(tuple(Fraction(x, p) if x else _ZERO for x in reduced[r]))
     return out, pivots
 
 
@@ -55,6 +62,12 @@ class Matrix:
         self.data = tuple(rows)
 
     @classmethod
+    def from_columns(cls, columns, nrows):
+        """The nrows x len(columns) matrix whose columns are `columns`."""
+        return cls([[col[r] for col in columns] for r in range(nrows)],
+                   cols=len(columns))
+
+    @classmethod
     def identity(cls, n):
         return cls([[Fraction(i == j) for j in range(n)] for i in range(n)], cols=n)
 
@@ -66,8 +79,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     def transpose(self):
-        return Matrix([[self.data[r][c] for r in range(self.rows)]
-                       for c in range(self.cols)], cols=self.rows)
+        return Matrix.from_columns(self.data, self.cols)
 
     def apply(self, v):
         """Matrix-vector product."""
@@ -107,19 +119,34 @@ class Matrix:
                       cols=other.cols)
 
 
+def _reduce(w, echelon):
+    """Clears the pivot coordinates of echelon from the list w, in place.
+
+    echelon yields (row, pivot) pairs; each row is 1 at its own pivot and 0
+    at the pivots of the rows before it, so a vector of their span is zero
+    exactly when its residual is.
+    """
+    for row, p in echelon:
+        c = w[p]
+        if c:
+            for j, rj in enumerate(row):
+                if rj:
+                    w[j] -= c * rj
+    return w
+
+
 class Subspace:
     """A subspace of Q^n, stored as an RREF row basis."""
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, vectors=()):
+        rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+                for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise DimensionMismatch("vector length != ambient dimension")
         self.ambient_dim = ambient_dim
-        rows, pivots = rref_rows(
-            [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-             for v in vectors], ambient_dim)
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("vector length != ambient dimension")
+        rows, pivots = rref_rows(rows, ambient_dim)
         self.basis = tuple(rows)
         self.pivots = tuple(pivots)
 
@@ -132,23 +159,16 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
         w = [x if type(x) is Fraction else Fraction(x) for x in v]
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c:
-                for j, rj in enumerate(row):
-                    if rj:
-                        w[j] -= c * rj
-        return tuple(w)
+        return tuple(_reduce(w, zip(self.basis, self.pivots)))
 
     def member(self, v):
         return not any(self.reduce(v))
 
     def coordinates(self, v):
         """Coefficients of v on the RREF basis; raises if v is outside."""
-        coeffs = [Fraction(v[p]) for p in self.pivots]
         if not self.member(v):
             raise NoSolution("vector is not in the subspace")
-        return tuple(coeffs)
+        return tuple(Fraction(v[p]) for p in self.pivots)
 
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -189,22 +209,13 @@ def image(m: Matrix) -> Subspace:
 
 def solve(m: Matrix, b):
     """One solution of m x = b (free variables set to 0); NoSolution if none."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != rows {m.rows}")
-    aug = [list(m.data[r]) + [Fraction(b[r])] for r in range(m.rows)]
-    rows, pivots = rref_rows(aug, m.cols + 1)
-    if m.cols in pivots:
-        raise NoSolution("inconsistent system")
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
-    return tuple(x)
+    return LinearSolver(m).solve(b)
 
 
 class LinearSolver:
     """Repeated solving of m x = b: the elimination is done once on [m | I].
 
-    Solutions match solve(): free variables are set to zero.
+    Free variables are set to zero.
     """
 
     def __init__(self, m: Matrix):
@@ -224,12 +235,16 @@ class LinearSolver:
     def solve(self, b):
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {self.rows}")
-        for u in self._null_rows:
-            if sum((c * b[j] for j, c in enumerate(u) if c), Fraction(0)):
-                raise NoSolution("inconsistent system")
-        x = [Fraction(0)] * self.cols
+        nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
+
+        def dot(u):
+            return sum((u[j] * bj for j, bj in nonzero if u[j]), _ZERO)
+
+        if any(dot(u) for u in self._null_rows):
+            raise NoSolution("inconsistent system")
+        x = [_ZERO] * self.cols
         for pc, u in self._pivot_rows:
-            x[pc] = sum((c * b[j] for j, c in enumerate(u) if c), Fraction(0))
+            x[pc] = dot(u)
         return tuple(x)
 
 
@@ -244,13 +259,11 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
     if not ambient.contains(sub):
         raise DimensionMismatch("sub is not contained in ambient")
     reps = []
-    span = sub
+    echelon = list(zip(sub.basis, sub.pivots))
     for v in ambient.basis:
-        if not span.member(v):
+        w = _reduce(list(v), echelon)
+        p = next((j for j, x in enumerate(w) if x), None)
+        if p is not None:
             reps.append(v)
-            span = Subspace(span.ambient_dim, span.basis + (v,))
+            echelon.append((tuple(x / w[p] for x in w), p))
     return reps
-
-
-def member(s: Subspace, v) -> bool:
-    return s.member(v)

@@ -83,8 +83,7 @@ def is_quasi_iso(f: DgaMorphism, max_degree, domain_summary=None,
     ok = True
     for k in range(max_degree + 1):
         cols = [cs.class_coords(f(r), degree=k)[1] for r in ds.representatives[k]]
-        m = Matrix([[col[r] for col in cols] for r in range(cs.betti[k])],
-                   cols=len(cols))
+        m = Matrix.from_columns(cols, cs.betti[k])
         iso = (ds.betti[k] == cs.betti[k] and m.rank() == ds.betti[k])
         report.append({"degree": k, "domain_betti": ds.betti[k],
                        "codomain_betti": cs.betti[k], "rank": m.rank(),
@@ -177,9 +176,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         # (b) generators of degree k killing ker H^{k+1}(phi)
         cols = [target_summary.class_coords(phi(r), degree=k + 1)[1]
                 for r in summary.representatives[k + 1]]
-        m = Matrix([[col[r] for col in cols]
-                    for r in range(target_summary.betti[k + 1])],
-                   cols=len(cols))
+        m = Matrix.from_columns(cols, target_summary.betti[k + 1])
         kernel_classes = exactla.kernel(m)
         new = []
         for w in kernel_classes.basis:
@@ -294,8 +291,7 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
             splitting[i] = {"C": 0, "N": 0}
             continue
         cols = [ctx.coords(dga.d(dga.gen(g.name)), i + 1) for g in vi]
-        m = Matrix([[col[r] for col in cols] for r in range(ctx.dim(i + 1))],
-                   cols=len(vi))
+        m = Matrix.from_columns(cols, ctx.dim(i + 1))
         c_space = exactla.kernel(m)
         full = Subspace(len(vi), Matrix.identity(len(vi)).data)
         n_vecs = exactla.quotient_basis(full, c_space)
@@ -330,9 +326,7 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
         if ctx.dim(m_deg + 1) > max_dim or ctx.dim(m_deg) > max_dim:
             raise ModelTooLarge(f"graded piece beyond {max_dim} dimensions")
         cols = [ctx.coords(dga.d(e), m_deg + 1) for e in ideal_elems]
-        dmat = Matrix([[col[r] for col in cols]
-                       for r in range(ctx.dim(m_deg + 1))],
-                      cols=len(ideal_elems))
+        dmat = Matrix.from_columns(cols, ctx.dim(m_deg + 1))
         closed = exactla.kernel(dmat)
         for w in closed.basis:
             z = alg.zero()
