@@ -30,6 +30,8 @@ class FreeContext:
         return len(self.algebra.degree_basis(k)) if k >= 0 else 0
 
     def basis_elements(self, k):
+        if k < 0:
+            return []
         return [Element(self.algebra, {m: Fraction(1)})
                 for m in self.algebra.degree_basis(k)]
 
@@ -66,6 +68,7 @@ class TabularContext:
     def __init__(self, tab: TabularDGA):
         self.dga = tab
         self.algebra = tab
+        self._index = {}
 
     def dim(self, k):
         return len(self.algebra.degree_indices(k)) if k >= 0 else 0
@@ -75,7 +78,10 @@ class TabularContext:
                 for i in self.algebra.degree_indices(k)]
 
     def coords(self, e, k):
-        idx = {b: i for i, b in enumerate(self.algebra.degree_indices(k))}
+        idx = self._index.get(k)
+        if idx is None:
+            idx = {b: i for i, b in enumerate(self.algebra.degree_indices(k))}
+            self._index[k] = idx
         v = [Fraction(0)] * len(idx)
         for b, c in e.coeffs.items():
             v[idx[b]] = c

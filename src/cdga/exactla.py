@@ -1,8 +1,10 @@
 """Exact linear algebra over Q: rank, kernel, image, solving, quotients.
 
-Matrices are dense tuples of Fractions.  Row reduction goes through the
-fraction-free integer kernel in cdga._core; rows are scaled to integers
-first and pivot rows are rescaled back at the end.
+Matrices and subspace bases are dense tuples of Fractions.  Row reduction
+goes through the sparse fraction-free kernel in cdga._core: each Fraction
+row is cleared of denominators into a {col: int} map of its nonzero
+entries, eliminated over the integers, and each pivot row is written back
+as a dense Fraction row divided by its pivot entry.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
@@ -20,26 +22,28 @@ _ZERO = Fraction(0)
 
 
 def _to_int_row(row):
-    # rows are mostly zeros with unit denominators; both skip the Fraction
-    # properties
+    """The {col: int} map of a Fraction row scaled by its denominators' lcm."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
     denlcm = 1
-    for x in row:
+    for _, x in nonzero:
         d = x.denominator
         if d != 1:
             denlcm = denlcm * d // math.gcd(denlcm, d)
-    return [x.numerator * (denlcm // x.denominator) if x else 0 for x in row]
+    return {j: x.numerator * (denlcm // x.denominator) for j, x in nonzero}
 
 
 def rref_rows(rows, ncols):
     """RREF of a list of Fraction rows: (rows, pivots), zero rows dropped."""
     if not rows:
         return [], []
-    introws = [_to_int_row(r) for r in rows]
-    reduced, pivots = rref_int(introws, ncols)
+    reduced, pivots = rref_int([_to_int_row(r) for r in rows], ncols)
     out = []
-    for r, c in enumerate(pivots):
-        p = reduced[r][c]
-        out.append(tuple(Fraction(x, p) if x else _ZERO for x in reduced[r]))
+    for row, c in zip(reduced, pivots):
+        p = row[c]
+        dense = [_ZERO] * ncols
+        for j, x in row.items():
+            dense[j] = Fraction(x, p)
+        out.append(tuple(dense))
     return out, pivots
 
 
@@ -189,7 +193,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, as a subspace of Q^cols."""
-    rref, pivots = m.rref()
+    rows, pivots = rref_rows(m.data, m.cols)
     pivset = set(pivots)
     free = [c for c in range(m.cols) if c not in pivset]
     vectors = []
@@ -197,7 +201,7 @@ def kernel(m: Matrix) -> Subspace:
         v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rref.data[r][fc]
+            v[pc] = -rows[r][fc]
         vectors.append(v)
     return Subspace(m.cols, vectors)
 

@@ -84,9 +84,10 @@ def is_quasi_iso(f: DgaMorphism, max_degree, domain_summary=None,
     for k in range(max_degree + 1):
         cols = [cs.class_coords(f(r), degree=k)[1] for r in ds.representatives[k]]
         m = Matrix.from_columns(cols, cs.betti[k])
-        iso = (ds.betti[k] == cs.betti[k] and m.rank() == ds.betti[k])
+        rank = m.rank()
+        iso = ds.betti[k] == cs.betti[k] and rank == ds.betti[k]
         report.append({"degree": k, "domain_betti": ds.betti[k],
-                       "codomain_betti": cs.betti[k], "rank": m.rank(),
+                       "codomain_betti": cs.betti[k], "rank": rank,
                        "isomorphism": iso})
         ok = ok and iso
     return ok, report

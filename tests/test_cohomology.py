@@ -50,6 +50,13 @@ class TestExamples:
         cand = (x1 - y * a1 + y * a2 + y * a3 - x2 - x3) * Fraction(1, 2)
         assert q111.d(cand) == a2 * a3
 
+    def test_unit_is_not_exact(self, q111):
+        # degree 0 has no degree -1 piece to bound from, free or tabular
+        tab = TabularDGA([("1", 0), ("u", 1)], {("u", "u"): {}}, {})
+        for dga in (q111, tab):
+            assert compute(dga, 3).is_exact(dga.one()) is None
+            assert is_exact(dga, dga.one()) == (False, None)
+
     def test_not_a_cocycle_raises(self, cp2):
         s = compute(cp2, 6, with_cup=False)
         with pytest.raises(NotACocycle):

@@ -1,11 +1,12 @@
 """Exact rational linear algebra: RREF, kernel, image, solve, quotients."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdga import exactla
+from cdga import _core, exactla
 from cdga.errors import DimensionMismatch, NoSolution
 from cdga.exactla import Matrix, Subspace, image, kernel, quotient_basis, solve
 
@@ -85,6 +86,78 @@ matrices = st.integers(0, 5).flatmap(
                      min_size=cols, max_size=cols),
             min_size=rows, max_size=rows).map(
                 lambda data: Matrix(data, cols=cols))))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Tall sparse matrices, the shape of real differential matrices."""
+    rows = draw(st.integers(0, 40))
+    cols = draw(st.integers(1, 20))
+    density = draw(st.floats(0.02, 0.2))
+    entry = st.one_of(
+        st.integers(-9, 9).map(Fraction),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    data = [[Fraction(0)] * cols for _ in range(rows)]
+    if rows:
+        count = round(density * rows * cols)
+        cells = draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                        st.integers(0, cols - 1), entry),
+                              min_size=count, max_size=count))
+        for r, c, x in cells:
+            data[r][c] = x
+    return Matrix(data, cols=cols)
+
+
+def rational_rref(reduced, pivots, ncols):
+    """The Fraction rows of rref_int's output, each over its pivot entry."""
+    return [tuple(Fraction(row.get(j, 0), row[c]) for j in range(ncols))
+            for row, c in zip(reduced, pivots)]
+
+
+class TestSparseKernel:
+    def test_no_rows(self):
+        assert _core.rref_int([], 3) == ([], [])
+
+    def test_zero_rows_dropped(self):
+        rows = [{}, {0: 2, 1: 4}, {}, {0: -3, 1: -6}]
+        reduced, pivots = _core.rref_int(rows, 2)
+        assert pivots == [0]
+        assert rational_rref(reduced, pivots, 2) == [(1, 2)]
+        assert rows[1] == {0: 2, 1: 4}      # input left as it was
+
+    def test_column_without_pivot(self):
+        rows = [{0: 2, 2: 3}, {0: 4, 1: 6, 2: 1}, {3: 5}]
+        dense = [[Fraction(r.get(j, 0)) for j in range(4)] for r in rows]
+        reduced, pivots = _core.rref_int(rows, 4)
+        assert pivots == [0, 1, 3]
+        assert (rational_rref(reduced, pivots, 4), pivots) == \
+            naive_rref(dense, 4)
+
+    def test_hilbert_matrix_growth(self):
+        # each row of the 8x8 Hilbert matrix scaled to integers; its
+        # integer elimination grows large minors without normalisation
+        n = 8
+        rows = []
+        for i in range(n):
+            lcm = math.lcm(*range(i + 1, i + n + 1))
+            rows.append({j: lcm // (i + j + 1) for j in range(n)})
+        reduced, pivots = _core.rref_int(rows, n)
+        assert pivots == list(range(n))
+        assert rational_rref(reduced, pivots, n) == \
+            [tuple(Fraction(i == j) for j in range(n)) for i in range(n)]
+        assert all(row == {i: row[i]} and abs(row[i]) == 1
+                   for i, row in enumerate(reduced))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_rref_matches_naive_oracle_on_sparse_matrices(self, m):
+        oracle = naive_rref(m.data, m.cols)
+        assert exactla.rref_rows(list(m.data), m.cols) == oracle
+        int_rows = [exactla._to_int_row(r) for r in m.data]
+        reduced, pivots = _core.rref_int(int_rows, m.cols)
+        assert (rational_rref(reduced, pivots, m.cols), pivots) == oracle
+        # content normalisation keeps every output row primitive
+        assert all(math.gcd(*row.values()) == 1 for row in reduced)
 
 
 class TestProperties:
