@@ -158,7 +158,8 @@ def cmd_minimal_model(args):
     obj, metadata, text = _load_model(args.file)
     bound = args.max_degree if args.max_degree is not None else _default_bound()
     model = sullivan.minimal_model(obj, bound)
-    ok, report = sullivan.is_quasi_iso(model.morphism, bound)
+    ok, report = sullivan.is_quasi_iso(
+        model.morphism, bound, codomain_summary=model.target_summary)
     result = {
         "model": modelfile.render_model(model.dga),
         "generator_ledger": model.generator_ledger(),

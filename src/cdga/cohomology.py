@@ -1,9 +1,12 @@
 """Degree-wise cohomology of a DGA: cocycles, coboundaries, classes, cups.
 
-Everything runs through a small "chain context" that exposes a DGA (free or
-tabular) as a sequence of finite-dimensional graded pieces with a
-differential matrix per degree.  Class representatives are the echelon
-coset representatives from quotient_basis; named classes of interest are
+A ChainComplex exposes a DGA, free or tabular, as finite-dimensional graded
+pieces with a cached differential matrix per degree, and answers every
+exactness question: it solves d(w) = z on the degree k-1 matrix, built when
+first needed, so the answer does not depend on any summary's degree bound.
+A CohomologySummary adds cocycles, coboundaries, class representatives and
+cups up to a bound.  Class representatives are the echelon coset
+representatives from quotient_basis; named classes of interest are
 recovered through membership tests, not representative equality.
 """
 
@@ -18,94 +21,81 @@ from .exactla import Matrix, Subspace
 from .gca import Element
 
 
-class FreeContext:
-    """Finite graded pieces of a free DGA, indexed by monomial bases."""
+class ChainComplex:
+    """The graded pieces of a free or tabular DGA, with d per degree.
 
-    def __init__(self, dga: DGA):
-        self.dga = dga
-        self.algebra = dga.algebra
-        self._index = {}
+    Free DGAs are indexed by the monomial basis of each degree, tabular ones
+    by their basis indices; this constructor is the only place the two kinds
+    differ.
+    """
+
+    def __init__(self, obj):
+        if isinstance(obj, DGA):
+            self.algebra, self._kind = obj.algebra, Element
+            self._basis, self._coeffs = obj.algebra.degree_basis, "terms"
+        elif isinstance(obj, TabularDGA):
+            self.algebra, self._kind = obj, TabElement
+            self._basis, self._coeffs = obj.degree_indices, "coeffs"
+        else:
+            raise TypeError(
+                f"expected DGA or TabularDGA, got {type(obj).__name__}")
+        self.dga = obj
+        self._index = {}         # k -> {basis key: position}
+        self._d_matrix = {}      # k -> Matrix (degree k -> k+1)
+        self._exact_solver = {}  # k -> LinearSolver on the degree k-1 d-matrix
+
+    def basis(self, k):
+        return self._basis(k) if k >= 0 else []
 
     def dim(self, k):
-        return len(self.algebra.degree_basis(k)) if k >= 0 else 0
-
-    def basis_elements(self, k):
-        if k < 0:
-            return []
-        return [Element(self.algebra, {m: Fraction(1)})
-                for m in self.algebra.degree_basis(k)]
-
-    def _mono_index(self, k):
-        idx = self._index.get(k)
-        if idx is None:
-            idx = {m: i for i, m in enumerate(self.algebra.degree_basis(k))}
-            self._index[k] = idx
-        return idx
+        return len(self.basis(k))
 
     def coords(self, e, k):
-        idx = self._mono_index(k)
+        idx = self._index.get(k)
+        if idx is None:
+            idx = self._index[k] = {b: i for i, b in enumerate(self.basis(k))}
         v = [Fraction(0)] * len(idx)
-        for m, c in e.terms.items():
-            v[idx[m]] = c
+        for b, c in getattr(e, self._coeffs).items():
+            v[idx[b]] = c
         return tuple(v)
 
     def from_coords(self, k, v):
-        basis = self.algebra.degree_basis(k)
-        return Element(self.algebra,
-                       {basis[i]: Fraction(c) for i, c in enumerate(v)
-                        if Fraction(c)})
+        basis = self.basis(k)
+        return self._kind(self.algebra, {basis[i]: Fraction(c)
+                                         for i, c in enumerate(v) if c})
 
     def d(self, e):
         return self.dga.d(e)
 
     def owns(self, e):
-        return isinstance(e, Element) and e.algebra is self.algebra
+        return isinstance(e, self._kind) and e.algebra is self.algebra
 
+    def d_matrix(self, k):
+        """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
+        m = self._d_matrix.get(k)
+        if m is None:
+            kind, alg = self._kind, self.algebra
+            cols = [self.coords(self.d(kind(alg, {b: Fraction(1)})), k + 1)
+                    for b in self.basis(k)]
+            m = self._d_matrix[k] = Matrix.from_columns(cols, self.dim(k + 1))
+        return m
 
-class TabularContext:
-    """Graded pieces of a finite tabular DGA."""
-
-    def __init__(self, tab: TabularDGA):
-        self.dga = tab
-        self.algebra = tab
-        self._index = {}
-
-    def dim(self, k):
-        return len(self.algebra.degree_indices(k)) if k >= 0 else 0
-
-    def basis_elements(self, k):
-        return [TabElement(self.algebra, {i: Fraction(1)})
-                for i in self.algebra.degree_indices(k)]
-
-    def coords(self, e, k):
-        idx = self._index.get(k)
-        if idx is None:
-            idx = {b: i for i, b in enumerate(self.algebra.degree_indices(k))}
-            self._index[k] = idx
-        v = [Fraction(0)] * len(idx)
-        for b, c in e.coeffs.items():
-            v[idx[b]] = c
-        return tuple(v)
-
-    def from_coords(self, k, v):
-        idx = self.algebra.degree_indices(k)
-        return TabElement(self.algebra,
-                          {idx[i]: Fraction(c) for i, c in enumerate(v)
-                           if Fraction(c)})
-
-    def d(self, e):
-        return self.algebra.d(e)
-
-    def owns(self, e):
-        return isinstance(e, TabElement) and e.algebra is self.algebra
-
-
-def context_for(obj):
-    if isinstance(obj, DGA):
-        return FreeContext(obj)
-    if isinstance(obj, TabularDGA):
-        return TabularContext(obj)
-    raise TypeError(f"expected DGA or TabularDGA, got {type(obj).__name__}")
+    def is_exact(self, z):
+        """A primitive w with d(w) = z, or None.  z must be a cocycle."""
+        if z.is_zero():
+            return self.dga.zero()
+        k = z.degree()
+        if not self.d(z).is_zero():
+            raise NotACocycle("element is not closed")
+        solver = self._exact_solver.get(k)
+        if solver is None:
+            solver = self._exact_solver[k] = exactla.LinearSolver(
+                self.d_matrix(k - 1))
+        try:
+            x = solver.solve(self.coords(z, k))
+        except exactla.NoSolution:
+            return None
+        return self.from_coords(k - 1, x)
 
 
 class CohomologySummary:
@@ -115,15 +105,13 @@ class CohomologySummary:
         if max_degree < 0:
             raise BoundTooLow("max_degree must be >= 0")
         self.source = obj
-        self.ctx = context_for(obj)
+        self.ctx = ChainComplex(obj)
         self.max_degree = max_degree
         self.cocycles = {}       # k -> Subspace of the degree-k piece
         self.coboundaries = {}   # k -> Subspace
         self.representatives = {}  # k -> list of elements
         self._rep_vectors = {}   # k -> list of coordinate vectors
-        self._d_matrix = {}      # k -> Matrix (degree k -> k+1)
         self._class_solver = {}  # k -> LinearSolver on [reps | coboundaries]
-        self._exact_solver = {}  # k -> LinearSolver on the degree k-1 d-matrix
         self.betti = []
         for k in range(max_degree + 1):
             self._compute_degree(k)
@@ -134,11 +122,7 @@ class CohomologySummary:
     # -- construction ------------------------------------------------------
 
     def d_matrix(self, k):
-        m = self._d_matrix.get(k)
-        if m is None:
-            m = _assemble_d_matrix(self.ctx, k)
-            self._d_matrix[k] = m
-        return m
+        return self.ctx.d_matrix(k)
 
     def _compute_degree(self, k):
         z = exactla.kernel(self.d_matrix(k))
@@ -200,37 +184,14 @@ class CohomologySummary:
 
     def is_exact(self, z):
         """A primitive w with d(w) = z, or None.  z must be a cocycle."""
-        if z.is_zero():
-            return self._zero_element()
-        k = z.degree()
-        if not self.is_cocycle(z):
-            raise NotACocycle("element is not closed")
-        solver = self._exact_solver.get(k)
-        if solver is None:
-            solver = exactla.LinearSolver(self.d_matrix(k - 1))
-            self._exact_solver[k] = solver
-        try:
-            x = solver.solve(self.ctx.coords(z, k))
-        except exactla.NoSolution:
-            return None
-        return self.ctx.from_coords(k - 1, x)
-
-    def _zero_element(self):
-        return self.ctx.dga.zero() if isinstance(self.ctx, FreeContext) \
-            else self.ctx.algebra.zero()
+        return self.ctx.is_exact(z)
 
     def rep_combination(self, k, vec):
         """The element sum_i vec[i] * representative_i in degree k."""
-        out = self._zero_element()
+        out = self.ctx.dga.zero()
         for c, r in zip(vec, self.representatives[k]):
             out = out + r * Fraction(c)
         return out
-
-
-def _assemble_d_matrix(ctx, k):
-    """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
-    cols = [ctx.coords(ctx.d(e), k + 1) for e in ctx.basis_elements(k)]
-    return Matrix.from_columns(cols, ctx.dim(k + 1))
 
 
 def compute(obj, max_degree, with_cup=True) -> CohomologySummary:
@@ -240,14 +201,5 @@ def compute(obj, max_degree, with_cup=True) -> CohomologySummary:
 
 def is_exact(obj, z):
     """Standalone exactness test; (True, primitive) or (False, None)."""
-    ctx = context_for(obj)
-    if z.is_zero():
-        return True, obj.zero()
-    k = z.degree()
-    if not ctx.d(z).is_zero():
-        raise NotACocycle("element is not closed")
-    try:
-        x = exactla.solve(_assemble_d_matrix(ctx, k - 1), ctx.coords(z, k))
-    except exactla.NoSolution:
-        return False, None
-    return True, ctx.from_coords(k - 1, x)
+    w = ChainComplex(obj).is_exact(z)
+    return w is not None, w

@@ -269,5 +269,6 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
         p = next((j for j, x in enumerate(w) if x), None)
         if p is not None:
             reps.append(v)
-            echelon.append((tuple(x / w[p] for x in w), p))
+            wp = w[p]
+            echelon.append((tuple(x / wp if x else x for x in w), p))
     return reps

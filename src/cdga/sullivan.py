@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactla
-from .cohomology import compute, context_for
+from .cohomology import ChainComplex, CohomologySummary, compute
 from .dga import DGA, Differential
 from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
                      NotSimplyConnected)
@@ -99,6 +99,7 @@ class SullivanModel:
     morphism: DgaMorphism
     target: object
     built_degree: int
+    target_summary: CohomologySummary  # compute(target, built_degree + 1)
     stage_ledger: dict = field(default_factory=dict)
 
     def generator_ledger(self):
@@ -199,7 +200,8 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
 
     morphism = DgaMorphism(model, target, phi_images)
     return SullivanModel(dga=model, morphism=morphism, target=target,
-                         built_degree=max_degree, stage_ledger=ledger)
+                         built_degree=max_degree,
+                         target_summary=target_summary, stage_ledger=ledger)
 
 
 @dataclass
@@ -266,22 +268,20 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
     elements is certified inside the model when it stands alone, or through
     the quasi-isomorphism to the target when one is attached (the class of a
     closed element vanishes in the full model iff its image is exact in the
-    target).
+    target), on the chain complex of the model's target summary.
     """
     if isinstance(model, SullivanModel):
-        dga, morphism, target = model.dga, model.morphism, model.target
+        dga, morphism = model.dga, model.morphism
     else:
-        dga, morphism, target = model, None, None
+        dga, morphism = model, None
     if not dga.is_minimal():
         raise NotMinimal("differential has a linear part")
     if degree_cap < s + 1:
         raise BoundTooLow("degree_cap must be >= s + 1")
 
     alg = dga.algebra
-    ctx = context_for(dga)
-    target_summary = None
-    if morphism is not None:
-        target_summary = compute(target, degree_cap + 1, with_cup=False)
+    ctx = ChainComplex(dga)
+    exact_in = ctx if morphism is None else model.target_summary.ctx
 
     # canonical splitting of V^i, i <= s
     splitting = {}
@@ -335,12 +335,8 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
                 z = z + e * Fraction(coeff)
             if z.is_zero():
                 continue
-            if target_summary is not None:
-                exact = target_summary.is_exact(morphism(z)) is not None
-            else:
-                from .cohomology import is_exact as _standalone
-                exact, _ = _standalone(dga, z)
-            if not exact:
+            image = z if morphism is None else morphism(z)
+            if exact_in.is_exact(image) is None:
                 return FormalityVerdict(
                     status="Inconclusive", s=s, degree_cap=degree_cap,
                     formal_dimension=formal_dimension, s_formal=False,

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdga.cohomology import compute, is_exact
+from cdga.cohomology import ChainComplex, compute, is_exact
+from cdga.constructions import s_k_model
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import BoundTooLow, NotACocycle
 from cdga.gca import Algebra
@@ -98,6 +99,43 @@ class TestExamples:
                 assert vec == tuple(Fraction(t == i)
                                     for t in range(s.betti[k]))
                 assert s.rep_combination(k, vec) == rep
+
+
+class TestChainComplex:
+    @pytest.mark.parametrize("kind", ["free", "tabular"])
+    def test_is_exact_ignores_the_summary_bound(self, kind, q111):
+        # q111 is free, s_3 tabular; each exactness question must get the
+        # same answer whatever degree bound the asking summary was built to
+        obj = q111 if kind == "free" else s_k_model(3)[0]
+        low = compute(obj, 1, with_cup=False)
+        high = compute(obj, 8, with_cup=False)
+        chain = ChainComplex(obj)
+
+        def primitive(z):
+            w = chain.is_exact(z)
+            assert low.is_exact(z) == w and high.is_exact(z) == w
+            assert is_exact(obj, z) == (w is not None, w)
+            return w
+
+        for k in range(8):
+            n = chain.dim(k - 1)
+            for i in range(n):
+                b = chain.from_coords(k - 1, [Fraction(i == j)
+                                              for j in range(n)])
+                z = obj.d(b)
+                w = primitive(z)
+                assert w is not None and obj.d(w) == z
+                assert w.is_zero() or w.degree() == k - 1
+            for r in high.representatives[k]:
+                assert primitive(r) is None
+
+    def test_summary_shares_its_chain_complex(self, q111):
+        s = compute(q111, 3, with_cup=False)
+        assert s.d_matrix(2) is s.ctx.d_matrix(2)
+
+    def test_rejects_other_objects(self):
+        with pytest.raises(TypeError):
+            ChainComplex(object())
 
 
 def permuted_q_model():

@@ -166,6 +166,25 @@ class TestTabular:
                          {"u": {"s": 1}, "s": {"v": 1}})
         assert any("d^2" in p for p in tab.validate())
 
+    def test_odd_square_breaks_commutativity(self):
+        tab = TabularDGA([("1", 0), ("u", 1), ("s", 2)],
+                         {("u", "u"): {"s": 1}}, {})
+        assert tab.validate() == ["commutativity fails at u,u"]
+
+    def test_associativity_failure_reported(self):
+        # (a*a)*b = c*b = t, but a*(a*b) = 0
+        tab = TabularDGA([("1", 0), ("a", 2), ("b", 2), ("c", 4), ("t", 6)],
+                         {("a", "a"): {"c": 1}, ("c", "b"): {"t": 1}}, {})
+        assert tab.validate() == ["associativity fails at a,a,b",
+                                  "associativity fails at b,a,a"]
+
+    def test_leibniz_failure_reported(self):
+        # d(u*a) = d(v) = w, but d(u)*a - u*d(a) = 0
+        tab = TabularDGA([("1", 0), ("u", 1), ("a", 2), ("v", 3), ("w", 4)],
+                         {("u", "a"): {"v": 1}}, {"v": {"w": 1}})
+        assert tab.validate() == ["Leibniz fails at u,a",
+                                  "Leibniz fails at a,u"]
+
     def test_needs_single_unit(self):
         with pytest.raises(ValueError):
             TabularDGA([("1", 0), ("1b", 0)], {}, {})

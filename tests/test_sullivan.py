@@ -121,6 +121,16 @@ class TestMinimalModel:
         with pytest.raises(BoundTooLow):
             minimal_model(TabularDGA([("1", 0)], {}, {}), 1)
 
+    @pytest.mark.parametrize("target", ["free", "tabular"])
+    def test_target_summary_serves_quasi_iso(self, target, cp2):
+        obj = cp2 if target == "free" else tabular_cohomology_of(cp2, 6)
+        model = minimal_model(obj, 6)
+        assert model.target_summary.source is obj
+        assert model.target_summary.max_degree == 7
+        assert is_quasi_iso(model.morphism, 6,
+                            codomain_summary=model.target_summary) == \
+            is_quasi_iso(model.morphism, 6)
+
     def test_q111_model_matches_to_degree_five(self, q111):
         model = minimal_model(q111, 5)
         ok, _ = is_quasi_iso(model.morphism, 5)
@@ -166,6 +176,16 @@ class TestSFormality:
         assert verdict.splitting[1] == {"C": 1, "N": 0}
         assert verdict.splitting[2] == {"C": 1, "N": 0}
         assert verdict.splitting[3] == {"C": 0, "N": 1}
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_bare_dga_and_its_model_agree(self, s):
+        # exactness is decided in x6 itself, or in x6 as the model's target
+        dga = x6_model()
+        bare = s_formality_check(dga, s, 7, formal_dimension=6)
+        via = s_formality_check(minimal_model(dga, s), s, 7,
+                                formal_dimension=6)
+        assert (bare.status, bare.s_formal, bare.splitting) == \
+            (via.status, via.s_formal, via.splitting)
 
     def test_splitting_invariant_under_generator_order(self):
         a1 = Algebra([("a", 1), ("b", 2), ("x", 3)])
