@@ -1,50 +1,67 @@
 """Exact linear algebra over Q: rank, kernel, image, solving, quotients.
 
-Matrices and subspace bases are dense tuples of Fractions.  Row reduction
-goes through the sparse fraction-free kernel in cdga._core: each Fraction
-row is cleared of denominators into a {col: int} map of its nonzero
-entries, eliminated over the integers, and each pivot row is written back
-as a dense Fraction row divided by its pivot entry.
+Inside this module a vector is a sparse integer row, a {col: int} map of
+its nonzero entries, the form the fraction-free kernel in cdga._core works
+on.  A Fraction row enters once, through _to_int_row (scaled by the lcm of
+its denominators); rows are eliminated with _core.rref_int, and reduced
+against an echelon with its primitive row update _core._clear.  A subspace
+is its primitive RREF rows and their pivot columns.  Dense Fraction tuples
+are built only where a caller reads them: Matrix.data, Subspace.basis (on
+first read), rref_rows, LinearSolver.solve and quotient_basis.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
-
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from ._core import rref_int
+from ._core import _clear, rref_int
 from .errors import DimensionMismatch, NoSolution
 
 
 _ZERO = Fraction(0)
 
 
+def _scaled(row):
+    """(_to_int_row(row), the lcm of the row's denominators it scales by)."""
+    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    s = math.lcm(*(x.denominator for _, x in nonzero))
+    return {j: x.numerator * (s // x.denominator) for j, x in nonzero}, s
+
+
 def _to_int_row(row):
     """The {col: int} map of a Fraction row scaled by its denominators' lcm."""
-    nonzero = [(j, x) for j, x in enumerate(row) if x]
-    denlcm = 1
-    for _, x in nonzero:
-        d = x.denominator
-        if d != 1:
-            denlcm = denlcm * d // math.gcd(denlcm, d)
-    return {j: x.numerator * (denlcm // x.denominator) for j, x in nonzero}
+    return _scaled(row)[0]
+
+
+def _dense(row, ncols, den):
+    """The Fraction tuple of an int row divided by den."""
+    out = [_ZERO] * ncols
+    for j, x in row.items():
+        out[j] = Fraction(x, den)
+    return tuple(out)
+
+
+def _rref(rows, ncols):
+    """rref_int, skipping the kernel when there are no rows."""
+    return rref_int(rows, ncols) if rows else ([], [])
+
+
+def _residual(w, echelon):
+    """w with the pivots of echelon, (row, pivot) pairs each zero at the
+    pivots before it, cleared in order: empty exactly when w is in the span.
+    """
+    for row, c in echelon:
+        if c in w:
+            w = _clear(w, row, c)
+    return w
 
 
 def rref_rows(rows, ncols):
     """RREF of a list of Fraction rows: (rows, pivots), zero rows dropped."""
-    if not rows:
-        return [], []
-    reduced, pivots = rref_int([_to_int_row(r) for r in rows], ncols)
-    out = []
-    for row, c in zip(reduced, pivots):
-        p = row[c]
-        dense = [_ZERO] * ncols
-        for j, x in row.items():
-            dense[j] = Fraction(x, p)
-        out.append(tuple(dense))
-    return out, pivots
+    reduced, pivots = _rref([_to_int_row(r) for r in rows], ncols)
+    return [_dense(r, ncols, r[c]) for r, c in zip(reduced, pivots)], pivots
 
 
 class Matrix:
@@ -92,13 +109,8 @@ class Matrix:
         return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
                      for row in self.data)
 
-    def rref(self):
-        rows, pivots = rref_rows(list(self.data), self.cols)
-        return Matrix(rows, cols=self.cols), pivots
-
     def rank(self):
-        _, pivots = self.rref()
-        return len(pivots)
+        return len(_rref([_to_int_row(r) for r in self.data], self.cols)[1])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -106,13 +118,11 @@ class Matrix:
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(self.data[i]) + [Fraction(i == j) for j in range(n)]
-               for i in range(n)]
-        rows, pivots = rref_rows(aug, 2 * n)
-        if pivots[:n] != list(range(n)):
+        solver = LinearSolver(self)
+        if len(solver._pivot_rows) != self.rows:
             raise NoSolution("matrix is singular")
-        return Matrix([r[n:] for r in rows], cols=n)
+        return Matrix.from_columns(
+            [solver.solve(e) for e in Matrix.identity(self.rows).data], self.rows)
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -123,50 +133,46 @@ class Matrix:
                       cols=other.cols)
 
 
-def _reduce(w, echelon):
-    """Clears the pivot coordinates of echelon from the list w, in place.
-
-    echelon yields (row, pivot) pairs; each row is 1 at its own pivot and 0
-    at the pivots of the rows before it, so a vector of their span is zero
-    exactly when its residual is.
-    """
-    for row, p in echelon:
-        c = w[p]
-        if c:
-            for j, rj in enumerate(row):
-                if rj:
-                    w[j] -= c * rj
-    return w
-
-
 class Subspace:
-    """A subspace of Q^n, stored as an RREF row basis."""
+    """A subspace of Q^n, stored as primitive int RREF rows and pivots."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_basis")
 
     def __init__(self, ambient_dim, vectors=()):
-        rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-                for v in vectors]
-        if any(len(v) != ambient_dim for v in rows):
+        vectors = list(vectors)
+        if any(len(v) != ambient_dim for v in vectors):
             raise DimensionMismatch("vector length != ambient dimension")
+        self._set(ambient_dim, [_to_int_row(v) for v in vectors])
+
+    @classmethod
+    def _of_rows(cls, ambient_dim, rows):
+        """The span of {col: int} rows."""
+        s = cls.__new__(cls)
+        s._set(ambient_dim, rows)
+        return s
+
+    def _set(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        rows, pivots = rref_rows(rows, ambient_dim)
-        self.basis = tuple(rows)
+        self._rows, pivots = _rref(rows, ambient_dim)
         self.pivots = tuple(pivots)
+        self._basis = None
+
+    @property
+    def basis(self):
+        """The RREF rows as Fraction tuples."""
+        if self._basis is None:
+            self._basis = tuple(_dense(r, self.ambient_dim, r[c])
+                                for r, c in zip(self._rows, self.pivots))
+        return self._basis
 
     @property
     def dim(self):
-        return len(self.basis)
-
-    def reduce(self, v):
-        """Residual of v after eliminating the pivot coordinates."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length != ambient dimension")
-        w = [x if type(x) is Fraction else Fraction(x) for x in v]
-        return tuple(_reduce(w, zip(self.basis, self.pivots)))
+        return len(self.pivots)
 
     def member(self, v):
-        return not any(self.reduce(v))
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector length != ambient dimension")
+        return not _residual(_to_int_row(v), zip(self._rows, self.pivots))
 
     def coordinates(self, v):
         """Coefficients of v on the RREF basis; raises if v is outside."""
@@ -174,13 +180,11 @@ class Subspace:
             raise NoSolution("vector is not in the subspace")
         return tuple(Fraction(v[p]) for p in self.pivots)
 
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspaces of different ambient spaces")
-        return Subspace(self.ambient_dim, self.basis + other.basis)
-
     def contains(self, other):
-        return all(self.member(v) for v in other.basis)
+        if other.pivots and other.ambient_dim != self.ambient_dim:
+            raise DimensionMismatch("vector length != ambient dimension")
+        echelon = list(zip(self._rows, self.pivots))
+        return not any(_residual(r, echelon) for r in other._rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -193,22 +197,23 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, as a subspace of Q^cols."""
-    rows, pivots = rref_rows(m.data, m.cols)
+    rows, pivots = _rref([_to_int_row(r) for r in m.data], m.cols)
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
     vectors = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        vectors.append(v)
-    return Subspace(m.cols, vectors)
+    for fc in range(m.cols):
+        if fc not in pivset:
+            # x_fc = den and x_pc = -den * row[fc] / row[pc] for each pivot row
+            hit = [(r, pc) for r, pc in zip(rows, pivots) if fc in r]
+            den = math.lcm(*(r[pc] for r, pc in hit))
+            v = {pc: -r[fc] * den // r[pc] for r, pc in hit}
+            v[fc] = den
+            vectors.append(v)
+    return Subspace._of_rows(m.cols, vectors)
 
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
-    return Subspace(m.rows, [tuple(row) for row in m.transpose().data])
+    return Subspace._of_rows(m.rows, [_to_int_row(c) for c in zip(*m.data)])
 
 
 def solve(m: Matrix, b):
@@ -224,31 +229,31 @@ class LinearSolver:
 
     def __init__(self, m: Matrix):
         self.rows = m.rows
-        self.cols = m.cols
-        aug = [list(m.data[r]) + [Fraction(r == j) for j in range(m.rows)]
-               for r in range(m.rows)]
-        reduced, pivots = rref_rows(aug, m.cols + m.rows)
+        self.cols = n = m.cols
+        # row r of [m | I] times the lcm of row r's denominators
+        aug = [{**a, n + r: s} for r, (a, s) in enumerate(map(_scaled, m.data))]
+        reduced, pivots = _rref(aug, n + m.rows)
         # pivot in the m-part: row combination giving that coordinate of x;
         # pivot in the I-part: the m-part is zero, so the combination spans
         # the left null space and yields a consistency constraint on b
-        self._pivot_rows = [(pc, row[m.cols:])
-                            for row, pc in zip(reduced, pivots) if pc < m.cols]
-        self._null_rows = [row[m.cols:]
-                           for row, pc in zip(reduced, pivots) if pc >= m.cols]
+        split = [(pc, row[pc], {j - n: x for j, x in row.items() if j >= n})
+                 for row, pc in zip(reduced, pivots)]
+        self._pivot_rows = [t for t in split if t[0] < n]
+        self._null_rows = [t[2] for t in split if t[0] >= n]
 
     def solve(self, b):
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {self.rows}")
-        nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
+        bi, scale = _scaled(b)
 
         def dot(u):
-            return sum((u[j] * bj for j, bj in nonzero if u[j]), _ZERO)
+            return sum(x * bi[j] for j, x in u.items() if j in bi)
 
         if any(dot(u) for u in self._null_rows):
             raise NoSolution("inconsistent system")
         x = [_ZERO] * self.cols
-        for pc, u in self._pivot_rows:
-            x[pc] = dot(u)
+        for pc, p, u in self._pivot_rows:
+            x[pc] = Fraction(dot(u), p * scale)
         return tuple(x)
 
 
@@ -263,12 +268,10 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
     if not ambient.contains(sub):
         raise DimensionMismatch("sub is not contained in ambient")
     reps = []
-    echelon = list(zip(sub.basis, sub.pivots))
-    for v in ambient.basis:
-        w = _reduce(list(v), echelon)
-        p = next((j for j, x in enumerate(w) if x), None)
-        if p is not None:
-            reps.append(v)
-            wp = w[p]
-            echelon.append((tuple(x / wp if x else x for x in w), p))
+    echelon = list(zip(sub._rows, sub.pivots))
+    for row, c in zip(ambient._rows, ambient.pivots):
+        w = _residual(row, echelon)
+        if w:
+            reps.append(_dense(row, ambient.ambient_dim, row[c]))
+            echelon.append((w, min(w)))
     return reps
