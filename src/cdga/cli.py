@@ -202,7 +202,11 @@ def cmd_mapping_torus(args):
     obj, metadata, text = _load_model(args.file)
     bound = args.max_degree if args.max_degree is not None else _default_bound()
     summary = compute(obj, bound, with_cup=False)
-    auto_doc = json.loads(_read(args.auto))
+    try:
+        auto_doc = json.loads(_read(args.auto))
+    except json.JSONDecodeError as exc:
+        raise ModelSyntaxError(f"invalid JSON: {exc.msg}", line=exc.lineno,
+                               column=exc.colno, field="auto") from None
     rho = _build_automorphism(summary, auto_doc)
     torus = constructions.mapping_torus_cohomology(summary, rho,
                                                   with_cup=False)
@@ -216,37 +220,50 @@ def cmd_mapping_torus(args):
 
 
 def _build_automorphism(summary, doc):
+    if not isinstance(doc, dict):
+        raise ModelSyntaxError("automorphism description must be a JSON "
+                               "object", field="auto")
     kind = doc.get("kind", "partial")
     if kind == "identity":
         return constructions.CohomologyAutomorphism.identity(summary)
-    matrices = {
-        int(r): Matrix([[Fraction(str(c)) for c in row] for row in rows],
-                       cols=summary.betti[int(r)])
-        for r, rows in (doc.get("matrices") or {}).items()}
+    matrices = {}
+    for key, rows in (doc.get("matrices") or {}).items():
+        field = f"matrices.{key}"
+        r = modelfile.parse_integer(key, field)
+        if not 0 <= r <= summary.max_degree:
+            raise ModelSyntaxError(
+                f"degree {r} is outside 0..{summary.max_degree}", field=field)
+        matrices[r] = Matrix([[modelfile.parse_rational(c, field) for c in row]
+                              for row in rows], cols=summary.betti[r])
     if kind == "full":
         return constructions.CohomologyAutomorphism(summary, matrices)
     if kind == "partial":
+        if "top_degree" not in doc:
+            raise ModelSyntaxError("a partial automorphism needs top_degree",
+                                   field="top_degree")
         return constructions.CohomologyAutomorphism.from_partial(
             summary, matrices,
-            top_degree=int(doc["top_degree"]),
-            top_sign=int(doc.get("top_sign", 1)))
+            top_degree=modelfile.parse_integer(doc["top_degree"], "top_degree"),
+            top_sign=modelfile.parse_integer(doc.get("top_sign", 1), "top_sign"))
     raise ModelSyntaxError(f"unknown automorphism kind {kind!r}", field="kind")
 
 
 def cmd_corpus(args):
     params = {}
     if args.e is not None:
-        params["e"] = tuple(Fraction(v) for v in args.e.split(","))
+        params["e"] = tuple(modelfile.parse_rational(v, "e")
+                            for v in args.e.split(","))
     for key in ("k", "l"):
         val = getattr(args, key)
         if val is not None:
             params[key] = val
     if args.epsilon is not None:
-        params["epsilon"] = [Fraction(v) for v in args.epsilon.split(",")]
+        params["epsilon"] = [modelfile.parse_rational(v, "epsilon")
+                             for v in args.epsilon.split(",")]
     if args.N is not None:
         params["N"] = args.N
     if args.f is not None:
-        params["f"] = Fraction(args.f)
+        params["f"] = modelfile.parse_rational(args.f, "f")
     if args.rho is not None:
         params["rho"] = args.rho
     entry = constructions.corpus(args.name, **params)

@@ -538,6 +538,8 @@ def corpus(name, **params) -> CorpusEntry:
             provenance=[f"circle bundle over (S^2)^3 with Euler class "
                         f"{e[0]}*a1 + {e[1]}*a2 + {e[2]}*a3"])
     if key in ("s-k", "sk"):
+        if "k" not in params:
+            raise ParamOutOfRange("s_k needs the parameter k")
         k = int(params.pop("k"))
         eps = params.pop("epsilon", None)
         big_n = params.pop("N", None)

@@ -54,9 +54,6 @@ class Algebra:
     def generator(self, name):
         return self._by_name[name]
 
-    def sort_key(self, index):
-        return (self.generators[index].degree, index)
-
     def zero(self):
         return Element(self, {})
 
@@ -180,13 +177,6 @@ class Element:
     def is_homogeneous(self):
         degs = {self.algebra.monomial_degree(m) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_parts(self):
-        parts = {}
-        for m, c in self.terms.items():
-            d = self.algebra.monomial_degree(m)
-            parts.setdefault(d, {})[m] = c
-        return {d: Element(self.algebra, t) for d, t in sorted(parts.items())}
 
     def _check(self, other):
         if self.algebra is not other.algebra:

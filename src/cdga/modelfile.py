@@ -33,11 +33,23 @@ from .expr import parse_expression
 from .gca import Algebra
 
 
-def _frac(value, field):
+def parse_rational(value, field):
+    """A Fraction from a JSON number or string; ModelSyntaxError if bad."""
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ModelSyntaxError(f"bad rational {value!r}", field=field) from None
+
+
+def parse_integer(value, field):
+    """An int from a JSON integer or a string of one; ModelSyntaxError if
+    bad (a float such as 2.5 is not truncated)."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ModelSyntaxError(f"bad integer {value!r}", field=field)
 
 
 def parse_model(doc):
@@ -59,12 +71,13 @@ def _parse_free(doc):
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise ModelSyntaxError("generator needs name and degree",
                                    field=field)
-        gens.append((str(g["name"]), int(g["degree"])))
+        gens.append((str(g["name"]),
+                     parse_integer(g["degree"], f"{field}.degree")))
     try:
         alg = Algebra(gens)
     except ValueError as exc:
         raise ModelSyntaxError(str(exc), field="generators") from None
-    params = {str(k): _frac(v, f"parameters.{k}")
+    params = {str(k): parse_rational(v, f"parameters.{k}")
               for k, v in (doc.get("parameters") or {}).items()}
     clash = set(params) & {g.name for g in alg.generators}
     if clash:
@@ -103,18 +116,19 @@ def _parse_tabular(doc):
         if not isinstance(b, dict) or "label" not in b or "degree" not in b:
             raise ModelSyntaxError("basis entry needs label and degree",
                                    field=field)
-        basis.append((str(b["label"]), int(b["degree"])))
+        basis.append((str(b["label"]),
+                      parse_integer(b["degree"], f"{field}.degree")))
     products = {}
     for i, p in enumerate(doc.get("products", [])):
         field = f"products[{i}]"
         if not isinstance(p, dict) or "left" not in p or "right" not in p:
             raise ModelSyntaxError("product entry needs left and right",
                                    field=field)
-        value = {str(lab): _frac(c, f"{field}.value.{lab}")
+        value = {str(lab): parse_rational(c, f"{field}.value.{lab}")
                  for lab, c in (p.get("value") or {}).items()}
         products[(str(p["left"]), str(p["right"]))] = value
     differential = {
-        str(lab): {str(lk): _frac(c, f"differential.{lab}.{lk}")
+        str(lab): {str(lk): parse_rational(c, f"differential.{lab}.{lk}")
                    for lk, c in (val or {}).items()}
         for lab, val in (doc.get("differential") or {}).items()}
     try:

@@ -99,7 +99,7 @@ class SullivanModel:
     morphism: DgaMorphism
     target: object
     built_degree: int
-    target_summary: CohomologySummary  # compute(target, built_degree + 1)
+    target_summary: CohomologySummary  # covers at least built_degree + 1
     stage_ledger: dict = field(default_factory=dict)
 
     def generator_ledger(self):
@@ -124,11 +124,19 @@ def _guard_dims(alg: Algebra, up_to, max_dim):
 
 
 def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
-                  max_gens=DEFAULT_GEN_BUDGET) -> SullivanModel:
-    """Staged minimal model of a 1-connected DGA or TabularDGA."""
+                  max_gens=DEFAULT_GEN_BUDGET, summary=None) -> SullivanModel:
+    """Staged minimal model of a 1-connected DGA or TabularDGA.
+
+    A precomputed cohomology summary of target covering degree
+    max_degree + 1 may be passed in.
+    """
     if max_degree < 2:
         raise BoundTooLow("max_degree must be >= 2")
-    target_summary = compute(target, max_degree + 1, with_cup=False)
+    if summary is None:
+        summary = compute(target, max_degree + 1, with_cup=False)
+    elif summary.source is not target or summary.max_degree < max_degree + 1:
+        raise BoundTooLow("summary does not cover degree max_degree + 1")
+    target_summary = summary
     if target_summary.betti[0] != 1:
         raise NotSimplyConnected("target is not connected (H^0 != Q)")
     if target_summary.betti[1] != 0:
@@ -417,7 +425,10 @@ def formality(obj, dimension, s=None, cap=None,
         return s_formality_check(obj, s, cap, formal_dimension=dimension,
                                  max_dim=max_dim)
     if b1 == 0:
-        model = minimal_model(obj, max(2, s), max_dim=max_dim)
+        bound = max(2, s)
+        model = minimal_model(
+            obj, bound, max_dim=max_dim,
+            summary=summary if summary.max_degree >= bound + 1 else None)
         return s_formality_check(model, s, cap, formal_dimension=dimension,
                                  max_dim=max_dim)
     return FormalityVerdict(

@@ -218,6 +218,78 @@ class TestCommands:
         assert json.loads(out.stdout)["result"]["kind"] == "dga"
 
 
+BAD_AUTOMORPHISMS = {
+    "invalid_json": "{bad",
+    "not_an_object": "[1, 2]",
+    "missing_top_degree": json.dumps({"kind": "partial", "matrices": {}}),
+    "bad_rational": json.dumps({"kind": "partial", "top_degree": 7,
+                                "matrices": {"2": [["x", "1"], ["1", "0"]]}}),
+    "non_integer_degree_key": json.dumps({
+        "kind": "partial", "top_degree": 7,
+        "matrices": {"two": [["0", "1"], ["1", "0"]]}}),
+}
+
+BAD_CORPUS_ARGS = {
+    "s_k_without_k": (["corpus", "s_k"], "ParamOutOfRange", None),
+    "bad_e": (["corpus", "q111", "--e", "1,x"], "ModelSyntaxError", "e"),
+    "bad_epsilon": (["corpus", "s-k", "--k", "3", "--epsilon", "1/6,y"],
+                    "ModelSyntaxError", "epsilon"),
+    "bad_f": (["corpus", "x6", "--f", "1/0"], "ModelSyntaxError", "f"),
+}
+
+
+def error_of(code, out):
+    """The error object of a failed command, after checking its exit code."""
+    assert code == 1
+    return json.loads(out)["error"]
+
+
+class TestBadInput:
+    """Bad arguments and model files give the error envelope and exit 1."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_AUTOMORPHISMS))
+    def test_mapping_torus_automorphism(self, tmp_path, case):
+        _, q_text = run_cli(["corpus", "q111"])
+        auto_path = tmp_path / "auto.json"
+        auto_path.write_text(BAD_AUTOMORPHISMS[case])
+        error = error_of(*run_cli(["mapping-torus", "-", "--auto",
+                                   str(auto_path), "--max-degree", "7"],
+                                  stdin_text=q_text))
+        assert error["kind"] == "ModelSyntaxError"
+        assert "field" in error["location"]
+
+    @pytest.mark.parametrize("case", sorted(BAD_CORPUS_ARGS))
+    def test_corpus_parameters(self, case):
+        argv, kind, field = BAD_CORPUS_ARGS[case]
+        error = error_of(*run_cli(argv))
+        assert error["kind"] == kind
+        if field is not None:
+            assert error["location"]["field"] == field
+
+    def test_corpus_library_call_without_k(self):
+        from cdga import constructions
+        from cdga.errors import ParamOutOfRange
+        with pytest.raises(ParamOutOfRange):
+            constructions.corpus("s_k")
+
+    @pytest.mark.parametrize("degree", ["two", 2.5])
+    def test_generator_degree_not_an_integer(self, degree):
+        doc = json.dumps({"kind": "free",
+                          "generators": [{"name": "a", "degree": degree}]})
+        error = error_of(*run_cli(["validate", "-"], stdin_text=doc))
+        assert error["kind"] == "ModelSyntaxError"
+        assert error["location"]["field"] == "generators[0].degree"
+
+    @pytest.mark.parametrize("degree", ["two", 2.5])
+    def test_basis_degree_not_an_integer(self, degree):
+        doc = json.dumps({"kind": "tabular",
+                          "basis": [{"label": "1", "degree": 0},
+                                    {"label": "a", "degree": degree}]})
+        error = error_of(*run_cli(["validate", "-"], stdin_text=doc))
+        assert error["kind"] == "ModelSyntaxError"
+        assert error["location"]["field"] == "basis[1].degree"
+
+
 GOLDEN_COMMANDS = {
     "corpus_q111.json": ["corpus", "q111"],
     "corpus_q111_e210.json": ["corpus", "q111", "--e", "2,1,0"],

@@ -1,14 +1,19 @@
 """Exact rational linear algebra: RREF, kernel, image, solve, quotients."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdga import _core, exactla
 from cdga.errors import DimensionMismatch, NoSolution
-from cdga.exactla import Matrix, Subspace, image, kernel, quotient_basis, solve
+from cdga.exactla import (LinearSolver, Matrix, Subspace, image, kernel,
+                          quotient_basis, solve)
 
 from conftest import naive_rref
 
@@ -220,6 +225,131 @@ class TestProperties:
             if rank(list(sub.basis) + kept + [v]) > rank(list(sub.basis) + kept):
                 kept.append(v)
         assert quotient_basis(ambient, sub) == kept
+
+
+class TestEdgeCases:
+    def test_subspace_equality_ignores_order_and_scaling(self):
+        s = Subspace(3, [[1, 2, 3], [0, 1, 1]])
+        assert s == Subspace(3, [[0, -2, -2], [frac(1, 2), 1, frac(3, 2)]])
+        assert s == Subspace(3, [[1, 3, 4], [0, 5, 5], [2, 4, 6]])
+        assert s != Subspace(3, [[1, 2, 3]])
+        assert s != Subspace(4, [[1, 2, 3, 0], [0, 1, 1, 0]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices, st.data())
+    def test_subspace_equality_under_permutation_and_scaling(self, m, data):
+        order = data.draw(st.permutations(range(m.rows)))
+        scales = data.draw(st.lists(
+            st.fractions(min_value=-5, max_value=5,
+                         max_denominator=4).filter(bool),
+            min_size=m.rows, max_size=m.rows))
+        moved = [[c * x for x in m.data[i]] for i, c in zip(order, scales)]
+        assert Subspace(m.cols, moved) == Subspace(m.cols, m.data)
+
+    def test_inverse_errors(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix([[1, 2, 3], [4, 5, 6]]).inverse()
+        with pytest.raises(NoSolution):
+            Matrix([[1, 2], [2, 4]]).inverse()
+        assert Matrix([], cols=0).inverse() == Matrix([], cols=0)
+
+    def test_solver_without_rows(self):
+        solver = LinearSolver(Matrix([], cols=3))
+        assert solver.solve([]) == (0, 0, 0)
+        with pytest.raises(DimensionMismatch):
+            solver.solve([1])
+
+    def test_solver_without_columns(self):
+        solver = LinearSolver(Matrix([[], [], []], cols=0))
+        assert solver.solve([0, 0, 0]) == ()
+        with pytest.raises(NoSolution):
+            solver.solve([0, frac(1, 2), 0])
+
+    def test_quotient_of_a_subspace_by_itself_is_empty(self):
+        s = Subspace(4, [[1, 2, 0, 1], [0, 0, 3, 1]])
+        assert quotient_basis(s, s) == []
+        assert quotient_basis(Subspace(2), Subspace(2)) == []
+
+
+def domain_matrix(rows, shape):
+    """Fraction rows as a sympy DomainMatrix over QQ."""
+    QQ = pytest.importorskip("sympy").QQ
+    dm = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    return dm([[QQ(x.numerator, x.denominator) for x in row] for row in rows],
+              shape, QQ)
+
+
+def fraction_rows(dm):
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in row]
+            for row in dm.to_list()]
+
+
+any_matrix = st.one_of(matrices, sparse_matrices())
+
+
+class TestDomainMatrixOracle:
+    """sympy's DomainMatrix over QQ as a second oracle, independent of the
+    cdga kernel.  sympy is a test dependency only."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_matrix)
+    def test_rank_and_kernel(self, m):
+        dm = domain_matrix(m.data, (m.rows, m.cols))
+        rank = dm.rank()
+        assert m.rank() == rank
+        k = kernel(m)
+        assert k.dim == m.cols - rank
+        assert k == Subspace(m.cols, fraction_rows(dm.nullspace()))
+        if k.dim:
+            vt = domain_matrix(k.basis, (k.dim, m.cols)).transpose()
+            assert dm.matmul(vt).is_zero_matrix
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_matrix, st.data())
+    def test_image_membership_and_solve(self, m, data):
+        dm = domain_matrix(m.data, (m.rows, m.cols))
+        x = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(m.cols)]
+        noise = [Fraction(data.draw(st.integers(-1, 1))) for _ in range(m.rows)]
+        b = [p + q for p, q in zip(m.apply(x), noise)]
+        db = domain_matrix([[v] for v in b], (m.rows, 1))
+        consistent = dm.hstack(db).rank() == dm.rank()
+        assert image(m).member(b) == consistent
+        if consistent:
+            y = solve(m, b)
+            assert dm.matmul(domain_matrix([[v] for v in y],
+                                           (m.cols, 1))) == db
+        else:
+            with pytest.raises(NoSolution):
+                solve(m, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_matrix)
+    def test_inverse(self, m):
+        if m.rows != m.cols:
+            with pytest.raises(DimensionMismatch):
+                m.inverse()
+            return
+        dm = domain_matrix(m.data, (m.rows, m.cols))
+        if dm.rank() < m.rows:
+            with pytest.raises(NoSolution):
+                m.inverse()
+        else:
+            assert [list(r) for r in m.inverse().data] == \
+                fraction_rows(dm.inv())
+
+
+def test_sympy_is_not_a_runtime_dependency():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import contextlib, io, sys\n"
+            "import cdga, cdga.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cdga.cli.main(['corpus', 'q111']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sympy')))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestBackends:

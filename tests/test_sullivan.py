@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from cdga import sullivan
 from cdga.cohomology import compute
-from cdga.constructions import lens_bundle_cp2_model, x6_model
+from cdga.constructions import lens_bundle_cp2_model, q_model, x6_model
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import (BoundTooLow, NotAChainMap, NotMinimal,
                          NotSimplyConnected)
@@ -131,6 +132,16 @@ class TestMinimalModel:
                             codomain_summary=model.target_summary) == \
             is_quasi_iso(model.morphism, 6)
 
+    def test_passed_summary_is_used_and_checked(self, cp2, q111):
+        summary = compute(cp2, 8, with_cup=False)
+        model = minimal_model(cp2, 6, summary=summary)
+        assert model.target_summary is summary
+        assert model.stage_ledger == minimal_model(cp2, 6).stage_ledger
+        with pytest.raises(BoundTooLow):
+            minimal_model(cp2, 6, summary=compute(cp2, 6, with_cup=False))
+        with pytest.raises(BoundTooLow):
+            minimal_model(cp2, 6, summary=compute(q111, 8, with_cup=False))
+
     def test_q111_model_matches_to_degree_five(self, q111):
         model = minimal_model(q111, 5)
         ok, _ = is_quasi_iso(model.morphism, 5)
@@ -221,6 +232,28 @@ class TestFormalityDriver:
         obj = DGA(alg, Differential(alg, {"b": alg.gen("a")}))
         verdict = formality(obj, 3, cap=3)
         assert verdict.status == "Inconclusive"
+
+    @pytest.mark.parametrize("obj, dimension", [
+        (q_model((1, 0, 0)), 7), (q_model((0, 2, 1)), 7), (x6_model(), 6)])
+    def test_summary_hand_off_keeps_the_verdict(self, obj, dimension):
+        s = required_s(dimension)
+        handed = formality(obj, dimension, cap=7)
+        fresh = s_formality_check(minimal_model(obj, s), s, 7,
+                                  formal_dimension=dimension)
+        assert handed == fresh
+
+    def test_formality_computes_its_model_cohomology_once(self,
+                                                          monkeypatch):
+        obj = q_model((1, 0, 0))
+        seen = []
+
+        def counting(target, *args, **kw):
+            seen.append(target)
+            return compute(target, *args, **kw)
+
+        monkeypatch.setattr(sullivan, "compute", counting)
+        assert formality(obj, 7, cap=7).status == "Formal"
+        assert sum(1 for t in seen if t is obj) == 1
 
     def test_decomposable_differential_in_every_model(self, q111):
         model = minimal_model(q111, 5)
