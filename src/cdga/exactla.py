@@ -25,7 +25,8 @@ _ZERO = Fraction(0)
 
 def _scaled(row):
     """(_to_int_row(row), the lcm of the row's denominators it scales by)."""
-    nonzero = [(j, x) for j, x in enumerate(row) if x]
+    nonzero = [(j, x if type(x) is Fraction else Fraction(x))
+               for j, x in enumerate(row) if x]
     s = math.lcm(*(x.denominator for _, x in nonzero))
     return {j: x.numerator * (s // x.denominator) for j, x in nonzero}, s
 

@@ -227,6 +227,9 @@ BAD_AUTOMORPHISMS = {
     "non_integer_degree_key": json.dumps({
         "kind": "partial", "top_degree": 7,
         "matrices": {"two": [["0", "1"], ["1", "0"]]}}),
+    "negative_degree_key": json.dumps({
+        "kind": "partial", "top_degree": 7,
+        "matrices": {"-6": [["0", "1"], ["1", "0"]]}}),
 }
 
 BAD_CORPUS_ARGS = {
