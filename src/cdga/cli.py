@@ -226,13 +226,21 @@ def _build_automorphism(summary, doc):
     kind = doc.get("kind", "partial")
     if kind == "identity":
         return constructions.CohomologyAutomorphism.identity(summary)
+    matrices_doc = doc.get("matrices") or {}
+    if not isinstance(matrices_doc, dict):
+        raise ModelSyntaxError("matrices must be a JSON object",
+                               field="matrices")
     matrices = {}
-    for key, rows in (doc.get("matrices") or {}).items():
+    for key, rows in matrices_doc.items():
         field = f"matrices.{key}"
         r = modelfile.parse_integer(key, field)
         if not 0 <= r <= summary.max_degree:
             raise ModelSyntaxError(
                 f"degree {r} is outside 0..{summary.max_degree}", field=field)
+        if not isinstance(rows, list) or not all(isinstance(row, list)
+                                                 for row in rows):
+            raise ModelSyntaxError("a matrix must be a list of rows",
+                                   field=field)
         matrices[r] = Matrix([[modelfile.parse_rational(c, field) for c in row]
                               for row in rows], cols=summary.betti[r])
     if kind == "full":

@@ -230,6 +230,10 @@ BAD_AUTOMORPHISMS = {
     "negative_degree_key": json.dumps({
         "kind": "partial", "top_degree": 7,
         "matrices": {"-6": [["0", "1"], ["1", "0"]]}}),
+    "matrices_not_an_object": json.dumps({
+        "kind": "partial", "top_degree": 7, "matrices": [1]}),
+    "matrix_not_a_list_of_rows": json.dumps({
+        "kind": "partial", "top_degree": 7, "matrices": {"2": 5}}),
 }
 
 BAD_CORPUS_ARGS = {
