@@ -11,6 +11,7 @@ first read), rref_rows, LinearSolver.solve and quotient_basis.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
+
 from __future__ import annotations
 
 import math
@@ -50,9 +51,8 @@ def _rref(rows, ncols):
 
 
 def _residual(w, echelon):
-    """w with the pivots of echelon, (row, pivot) pairs each zero at the
-    pivots before it, cleared in order: empty exactly when w is in the span.
-    """
+    """w with each pivot of echelon cleared in order; echelon rows are zero at
+    the pivots before theirs, so the result is empty iff w is in their span."""
     for row, c in echelon:
         if c in w:
             w = _clear(w, row, c)
@@ -119,11 +119,12 @@ class Matrix:
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        solver = LinearSolver(self)
-        if len(solver._pivot_rows) != self.rows:
+        # [m | I] reduces to [I | m^-1], row i scaled by its pivot entry p
+        pivot_rows = LinearSolver(self)._pivot_rows
+        if len(pivot_rows) != self.rows:
             raise NoSolution("matrix is singular")
-        return Matrix.from_columns(
-            [solver.solve(e) for e in Matrix.identity(self.rows).data], self.rows)
+        return Matrix([_dense(u, self.rows, p) for _, p, u in pivot_rows],
+                      cols=self.rows)
 
     def matmul(self, other):
         if self.cols != other.rows:
