@@ -4,10 +4,15 @@ A ChainComplex exposes a DGA, free or tabular, as finite-dimensional graded
 pieces with a cached differential matrix per degree, and answers every
 exactness question: it solves d(w) = z on the degree k-1 matrix, built when
 first needed, so the answer does not depend on any summary's degree bound.
+A d-matrix is assembled from the DGA's d_terms on each basis element,
+written straight into sparse rows indexed by the next degree's basis; it
+caches nothing beyond the ChainComplex.
 A CohomologySummary adds cocycles, coboundaries, class representatives and
 cups up to a bound.  Class representatives are the echelon coset
 representatives from quotient_basis; named classes of interest are
 recovered through membership tests, not representative equality.
+class_coords solves on [representatives | coboundaries], whose columns span
+the cocycles, so its solve fails exactly when the element is not closed.
 """
 
 from __future__ import annotations
@@ -50,10 +55,14 @@ class ChainComplex:
     def dim(self, k):
         return len(self.basis(k))
 
-    def coords(self, e, k):
+    def _positions(self, k):
         idx = self._index.get(k)
         if idx is None:
             idx = self._index[k] = {b: i for i, b in enumerate(self.basis(k))}
+        return idx
+
+    def coords(self, e, k):
+        idx = self._positions(k)
         v = [Fraction(0)] * len(idx)
         for b, c in getattr(e, self._coeffs).items():
             v[idx[b]] = c
@@ -71,13 +80,20 @@ class ChainComplex:
         return isinstance(e, self._kind) and e.algebra is self.algebra
 
     def d_matrix(self, k):
-        """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
+        """Matrix of d from the degree-k piece to the degree-(k+1) piece.
+
+        d of each basis element is written straight into sparse rows indexed
+        by the degree-(k+1) basis.
+        """
         m = self._d_matrix.get(k)
         if m is None:
-            kind, alg = self._kind, self.algebra
-            cols = [self.coords(self.d(kind(alg, {b: Fraction(1)})), k + 1)
-                    for b in self.basis(k)]
-            m = self._d_matrix[k] = Matrix.from_columns(cols, self.dim(k + 1))
+            idx = self._positions(k + 1)
+            rows = [{} for _ in idx]
+            d_terms = self.dga.d_terms
+            for j, b in enumerate(self.basis(k)):
+                for t, c in d_terms({b: 1}).items():
+                    rows[idx[t]][j] = c
+            m = self._d_matrix[k] = Matrix._of_sparse(rows, self.dim(k))
         return m
 
     def is_exact(self, z):
@@ -161,21 +177,29 @@ class CohomologySummary:
         if e.is_zero():
             if degree is None:
                 raise ValueError("zero element needs an explicit degree")
+            if degree < 0:
+                raise ValueError(f"degree must be >= 0, got {degree}")
+            if degree > self.max_degree:
+                raise BoundTooLow(
+                    f"degree {degree} beyond computed bound {self.max_degree}")
             return degree, tuple([Fraction(0)] * self.betti[degree])
         k = e.degree()
         if degree is not None and k != degree:
             raise ValueError(f"element has degree {k}, expected {degree}")
         if k > self.max_degree:
             raise BoundTooLow(f"degree {k} beyond computed bound {self.max_degree}")
-        if not self.is_cocycle(e):
-            raise NotACocycle(f"element of degree {k} is not closed")
         solver = self._class_solver.get(k)
         if solver is None:
             cols = list(self._rep_vectors[k]) + list(self.coboundaries[k].basis)
             solver = exactla.LinearSolver(
                 Matrix.from_columns(cols, self.ctx.dim(k)))
             self._class_solver[k] = solver
-        x = solver.solve(self.ctx.coords(e, k))
+        # the columns span the degree-k cocycles, so there is no solution
+        # exactly when e is not closed
+        try:
+            x = solver.solve(self.ctx.coords(e, k))
+        except exactla.NoSolution:
+            raise NotACocycle(f"element of degree {k} is not closed") from None
         return k, tuple(x[:self.betti[k]])
 
     def is_zero_class(self, e, degree=None):

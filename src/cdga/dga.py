@@ -77,19 +77,54 @@ class DGA:
         """Leibniz extension of the generator images."""
         if e.algebra is not self.algebra:
             raise MixedAlgebra("element belongs to another algebra")
+        return Element(self.algebra, self.d_terms(e.terms))
+
+    def d_terms(self, terms):
+        """d of a {monomial: coefficient} map, as such a map.
+
+        The graded Leibniz rule on monomial tuples: the factor (g, exp) at
+        position pos of a monomial contributes
+        (-1)^{|prefix|} * exp * prefix * d(g) * g^(exp-1) * rest
+        with each product formed by Algebra.mul_monomials.
+        """
         alg = self.algebra
-        out = alg.zero()
-        for mono, coeff in e.terms.items():
+        gens = alg.generators
+        images = self.differential.images
+        mul = alg.mul_monomials
+        out = {}
+        for mono, coeff in terms.items():
             prefix_deg = 0
             for pos, (gi, exp) in enumerate(mono):
-                dg = self.differential.of_generator(gi)
-                if not dg.is_zero():
-                    prefix = Element(alg, {mono[:pos]: Fraction(1)})
-                    rest_mono = ((gi, exp - 1),) if exp > 1 else ()
-                    tail = Element(alg, {rest_mono + mono[pos + 1:]: Fraction(1)})
-                    sign = -1 if prefix_deg % 2 else 1
-                    out = out + prefix * dg * tail * Fraction(sign * exp * coeff)
-                prefix_deg += alg.generators[gi].degree * exp
+                image = images[gi].terms
+                if image:
+                    prefix = mono[:pos]
+                    tail = (((gi, exp - 1),) if exp > 1 else ()) + mono[pos + 1:]
+                    c = exp * coeff if prefix_deg % 2 == 0 else -exp * coeff
+                    neg = -c
+                    for m, dc in image.items():
+                        sign = 1
+                        if prefix:
+                            hit = mul(prefix, m)
+                            if hit is None:
+                                continue
+                            m, sign = hit
+                        if tail:
+                            hit = mul(m, tail)
+                            if hit is None:
+                                continue
+                            m, s = hit
+                            sign *= s
+                        v = dc * (c if sign > 0 else neg)
+                        old = out.get(m)
+                        if old is None:
+                            out[m] = v
+                        else:
+                            v += old
+                            if v:
+                                out[m] = v
+                            else:
+                                del out[m]
+                prefix_deg += gens[gi].degree * exp
         return out
 
     def validate(self, max_degree=None) -> ValidationReport:
@@ -210,15 +245,19 @@ class TabularDGA:
     def d(self, e):
         if e.algebra is not self:
             raise MixedAlgebra("element belongs to another tabular algebra")
+        return TabElement(self, self.d_terms(e.coeffs))
+
+    def d_terms(self, coeffs):
+        """d of a {basis index: coefficient} map, as such a map."""
         out = {}
-        for i, c in e.coeffs.items():
+        for i, c in coeffs.items():
             for k, dc in self.diff.get(i, {}).items():
                 s = out.get(k, Fraction(0)) + c * dc
                 if s:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return TabElement(self, out)
+        return out
 
     def validate(self):
         """Associativity, graded commutativity, Leibniz, d^2 = 0.
@@ -228,38 +267,63 @@ class TabularDGA:
         __init__ completes the table by graded commutativity and rejects
         conflicting orders, so only the square of an odd class can still
         break commutativity: it must vanish.
+
+        Only candidates that can fail are checked, in lexicographic order.
+        A basis product x*y can be nonzero only if y is a partner of x: the
+        unit, any class if x is the unit, or a class with a nonzero table
+        entry.  Associativity is checked on triples of nonunit classes where
+        a class of i*j has k as a partner or a class of j*k has i as one (both
+        sides vanish otherwise, and mul_basis makes every triple through the
+        unit associative); Leibniz on pairs where i*j is a nonunit product
+        with a nonzero entry, or a class of d(i) has j as a partner, or a
+        class of d(j) has i as one (both sides vanish otherwise, and agree on
+        a unit pair whose d(i)*j and i*d(j) vanish).
         """
         problems = []
         n = len(self.labels)
+        unit, degrees = self.unit, self.degrees
         for i in range(n):
-            if self.degrees[i] % 2 and self.mul_basis(i, i):
+            if degrees[i] % 2 and self.mul_basis(i, i):
                 problems.append(f"commutativity fails at "
                                 f"{self.labels[i]},{self.labels[i]}")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (self.degrees[i] + self.degrees[j] + self.degrees[k]
-                            > self.max_degree):
-                        continue
-                    left = self._mul_dicts(self.mul_basis(i, j), {k: Fraction(1)})
-                    right = self._mul_dicts({i: Fraction(1)}, self.mul_basis(j, k))
-                    if left != right:
-                        problems.append(
-                            "associativity fails at "
-                            f"{self.labels[i]},{self.labels[j]},{self.labels[k]}")
+        nonzero = {(i, j): entry for (i, j), entry in self.table.items()
+                   if entry and unit not in (i, j)}
+        partners = {i: {unit} for i in range(n)}
+        partners[unit] = set(range(n))
+        for i, j in nonzero:
+            partners[i].add(j)
+        triples = sorted(
+            {(i, j, k) for (i, j), entry in nonzero.items()
+             for l in entry for k in partners[l]}
+            | {(i, j, k) for (j, k), entry in nonzero.items()
+               for l in entry for i in partners[l]})
+        for i, j, k in triples:
+            if (unit in (i, k)
+                    or degrees[i] + degrees[j] + degrees[k] > self.max_degree):
+                continue
+            left = self._mul_dicts(self.mul_basis(i, j), {k: Fraction(1)})
+            right = self._mul_dicts({i: Fraction(1)}, self.mul_basis(j, k))
+            if left != right:
+                problems.append(
+                    "associativity fails at "
+                    f"{self.labels[i]},{self.labels[j]},{self.labels[k]}")
         for i in range(n):
             ddi = self.d(self.d(self.gen(self.labels[i])))
             if not ddi.is_zero():
                 problems.append(f"d^2 nonzero on {self.labels[i]}")
-        for i in range(n):
-            for j in range(n):
-                ei, ej = self.gen(self.labels[i]), self.gen(self.labels[j])
-                lhs = self.d(ei * ej)
-                sign = -1 if self.degrees[i] % 2 else 1
-                rhs = self.d(ei) * ej + (ei * self.d(ej)) * Fraction(sign)
-                if lhs != rhs:
-                    problems.append(f"Leibniz fails at "
-                                    f"{self.labels[i]},{self.labels[j]}")
+        pairs = sorted({(i, j) for i, image in self.diff.items()
+                        for l in image for j in partners[l]}
+                       | {(i, j) for j, image in self.diff.items()
+                          for l in image for i in partners[l]}
+                       | set(nonzero))
+        for i, j in pairs:
+            ei, ej = self.gen(self.labels[i]), self.gen(self.labels[j])
+            lhs = self.d(ei * ej)
+            sign = -1 if self.degrees[i] % 2 else 1
+            rhs = self.d(ei) * ej + (ei * self.d(ej)) * Fraction(sign)
+            if lhs != rhs:
+                problems.append(f"Leibniz fails at "
+                                f"{self.labels[i]},{self.labels[j]}")
         return problems
 
     def _mul_dicts(self, a, b):
@@ -349,6 +413,8 @@ class TabElement:
         return NotImplemented
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power")
         acc = self.algebra.one()
         for _ in range(n):
             acc = acc * self

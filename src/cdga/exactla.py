@@ -2,12 +2,16 @@
 
 Inside this module a vector is a sparse integer row, a {col: int} map of
 its nonzero entries, the form the fraction-free kernel in cdga._core works
-on.  A Fraction row enters once, through _to_int_row (scaled by the lcm of
-its denominators); rows are eliminated with _core.rref_int, and reduced
+on.  A Matrix holds one exact form, built once: its rows as {col: int} maps
+over one common denominator, the lcm of every entry's denominator.
+kernel, image, rank and LinearSolver read those rows; image reads them as
+columns, which is why the scale is one for the whole matrix and not one per
+row.  A Fraction vector enters once, through _to_int_row (scaled by the lcm
+of its denominators); rows are eliminated with _core.rref_int, and reduced
 against an echelon with its primitive row update _core._clear.  A subspace
 is its primitive RREF rows and their pivot columns.  Dense Fraction tuples
-are built only where a caller reads them: Matrix.data, Subspace.basis (on
-first read), rref_rows, LinearSolver.solve and quotient_basis.
+are built only where a caller reads them: Matrix.data and Subspace.basis
+(each on first read), rref_rows, LinearSolver.solve and quotient_basis.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
@@ -66,12 +70,17 @@ def rref_rows(rows, ncols):
 
 
 class Matrix:
-    """An immutable rows x cols matrix of rationals."""
+    """An immutable rows x cols matrix of rationals.
 
-    __slots__ = ("rows", "cols", "data")
+    Row r is _int[r] / _den: a {col: int} map of the nonzero entries scaled
+    by _den, the lcm of the denominators of all entries.  data, the Fraction
+    row tuples, is built on first read.
+    """
+
+    __slots__ = ("rows", "cols", "_den", "_int", "_data")
 
     def __init__(self, data, cols=None):
-        rows = [tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
                 for row in data]
         if rows:
             cols = len(rows[0])
@@ -79,29 +88,75 @@ class Matrix:
                 raise DimensionMismatch("ragged rows")
         elif cols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
+        self._set(cols, [{j: x for j, x in enumerate(r) if x} for r in rows])
+
+    @classmethod
+    def _of_sparse(cls, rows, cols):
+        """The matrix whose rows are the {col: Fraction} maps `rows`."""
+        m = cls.__new__(cls)
+        m._set(cols, rows)
+        return m
+
+    @classmethod
+    def _of_int(cls, rows, cols, den):
+        """The matrix whose rows are the {col: int} maps `rows` over den,
+        with den already the lcm of the entries' denominators."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._den, m._int, m._data = len(rows), cols, den, rows, None
+        return m
+
+    def _set(self, cols, rows):
+        den = math.lcm(*{x.denominator for r in rows for x in r.values()})
         self.rows = len(rows)
         self.cols = cols
-        self.data = tuple(rows)
+        self._den = den
+        self._int = [{j: x.numerator * (den // x.denominator)
+                      for j, x in r.items()} for r in rows]
+        self._data = None
+
+    @property
+    def data(self):
+        """The rows as Fraction tuples."""
+        if self._data is None:
+            self._data = tuple(_dense(r, self.cols, self._den)
+                               for r in self._int)
+        return self._data
 
     @classmethod
     def from_columns(cls, columns, nrows):
         """The nrows x len(columns) matrix whose columns are `columns`."""
-        return cls([[col[r] for col in columns] for r in range(nrows)],
-                   cols=len(columns))
+        rows = [{} for _ in range(nrows)]
+        for c, col in enumerate(columns):
+            for r, row in enumerate(rows):
+                x = col[r]
+                if type(x) is not Fraction:
+                    x = Fraction(x)
+                if x:
+                    row[c] = x
+        return cls._of_sparse(rows, len(columns))
 
     @classmethod
     def identity(cls, n):
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._of_int([{i: 1} for i in range(n)], n, 1)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.cols == other.cols
-                and self.data == other.data)
+        return (isinstance(other, Matrix) and self.rows == other.rows
+                and self.cols == other.cols and self._den == other._den
+                and self._int == other._int)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
+    def _columns(self):
+        """The columns as {row: int} maps over _den."""
+        cols = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self._int):
+            for j, x in row.items():
+                cols[j][r] = x
+        return cols
+
     def transpose(self):
-        return Matrix.from_columns(self.data, self.cols)
+        return Matrix._of_int(self._columns(), self.rows, self._den)
 
     def apply(self, v):
         """Matrix-vector product."""
@@ -111,7 +166,7 @@ class Matrix:
                      for row in self.data)
 
     def rank(self):
-        return len(_rref([_to_int_row(r) for r in self.data], self.cols)[1])
+        return len(_rref(self._int, self.cols)[1])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -123,8 +178,8 @@ class Matrix:
         pivot_rows = LinearSolver(self)._pivot_rows
         if len(pivot_rows) != self.rows:
             raise NoSolution("matrix is singular")
-        return Matrix([_dense(u, self.rows, p) for _, p, u in pivot_rows],
-                      cols=self.rows)
+        return Matrix._of_sparse([{j: Fraction(x, p) for j, x in u.items()}
+                                  for _, p, u in pivot_rows], self.rows)
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -199,7 +254,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, as a subspace of Q^cols."""
-    rows, pivots = _rref([_to_int_row(r) for r in m.data], m.cols)
+    rows, pivots = _rref(m._int, m.cols)
     pivset = set(pivots)
     vectors = []
     for fc in range(m.cols):
@@ -215,7 +270,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
-    return Subspace._of_rows(m.rows, [_to_int_row(c) for c in zip(*m.data)])
+    return Subspace._of_rows(m.rows, m._columns() if m.rows else [])
 
 
 def solve(m: Matrix, b):
@@ -232,8 +287,8 @@ class LinearSolver:
     def __init__(self, m: Matrix):
         self.rows = m.rows
         self.cols = n = m.cols
-        # row r of [m | I] times the lcm of row r's denominators
-        aug = [{**a, n + r: s} for r, (a, s) in enumerate(map(_scaled, m.data))]
+        # [m | I] times m's common denominator
+        aug = [{**a, n + r: m._den} for r, a in enumerate(m._int)]
         reduced, pivots = _rref(aug, n + m.rows)
         # pivot in the m-part: row combination giving that coordinate of x;
         # pivot in the I-part: the m-part is zero, so the combination spans

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cdga.dga import DGA, Differential, TabularDGA
-from cdga.gca import Algebra
+from cdga.gca import Algebra, Element
 
 
 # -- model builders --------------------------------------------------------
@@ -43,6 +43,62 @@ def naive_rref(rows, ncols):
         pivots.append(c)
         pr += 1
     return [tuple(r) for r in m[:pr]], pivots
+
+
+def naive_d(dga, e):
+    """d of a free-DGA element by Leibniz through Element products: for each
+    factor g^exp of each monomial, prefix * d(g) * g^(exp-1) * rest."""
+    alg = dga.algebra
+    out = alg.zero()
+    for mono, coeff in e.terms.items():
+        prefix_deg = 0
+        for pos, (gi, exp) in enumerate(mono):
+            dg = dga.differential.of_generator(gi)
+            if not dg.is_zero():
+                prefix = Element(alg, {mono[:pos]: Fraction(1)})
+                rest_mono = ((gi, exp - 1),) if exp > 1 else ()
+                tail = Element(alg, {rest_mono + mono[pos + 1:]: Fraction(1)})
+                sign = -1 if prefix_deg % 2 else 1
+                out = out + prefix * dg * tail * Fraction(sign * exp * coeff)
+            prefix_deg += alg.generators[gi].degree * exp
+    return out
+
+
+def naive_tabular_validate(tab):
+    """TabularDGA.validate's problem list from full sweeps: every triple
+    for associativity, every pair for Leibniz."""
+    problems = []
+    n = len(tab.labels)
+    for i in range(n):
+        if tab.degrees[i] % 2 and tab.mul_basis(i, i):
+            problems.append(f"commutativity fails at "
+                            f"{tab.labels[i]},{tab.labels[i]}")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (tab.degrees[i] + tab.degrees[j] + tab.degrees[k]
+                        > tab.max_degree):
+                    continue
+                left = tab._mul_dicts(tab.mul_basis(i, j), {k: Fraction(1)})
+                right = tab._mul_dicts({i: Fraction(1)}, tab.mul_basis(j, k))
+                if left != right:
+                    problems.append(
+                        "associativity fails at "
+                        f"{tab.labels[i]},{tab.labels[j]},{tab.labels[k]}")
+    for i in range(n):
+        ddi = tab.d(tab.d(tab.gen(tab.labels[i])))
+        if not ddi.is_zero():
+            problems.append(f"d^2 nonzero on {tab.labels[i]}")
+    for i in range(n):
+        for j in range(n):
+            ei, ej = tab.gen(tab.labels[i]), tab.gen(tab.labels[j])
+            lhs = tab.d(ei * ej)
+            sign = -1 if tab.degrees[i] % 2 else 1
+            rhs = tab.d(ei) * ej + (ei * tab.d(ej)) * Fraction(sign)
+            if lhs != rhs:
+                problems.append(f"Leibniz fails at "
+                                f"{tab.labels[i]},{tab.labels[j]}")
+    return problems
 
 
 def poincare_coefficient(generator_degrees, k):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdga.cohomology import ChainComplex, compute, is_exact
-from cdga.constructions import s_k_model
+from cdga.constructions import s_k_model, x6_model
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import BoundTooLow, NotACocycle
+from cdga.exactla import Matrix
 from cdga.gca import Algebra
 
 
@@ -78,6 +79,43 @@ class TestExamples:
             s.class_coords(cp2.zero())
         assert s.class_coords(cp2.zero(), degree=2) == (2, (Fraction(0),))
 
+    @pytest.mark.parametrize("kind", ["free", "tabular"])
+    def test_zero_class_degree_is_checked(self, kind, cp2):
+        obj = cp2 if kind == "free" else s_k_model(3)[0]
+        s = compute(obj, 4, with_cup=False)
+        assert s.class_coords(obj.zero(), degree=0) == (0, (Fraction(0),))
+        assert s.class_coords(obj.zero(), degree=4)[0] == 4
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            s.class_coords(obj.zero(), degree=-1)
+        with pytest.raises(BoundTooLow,
+                           match="degree 5 beyond computed bound 4"):
+            s.class_coords(obj.zero(), degree=5)
+
+    @pytest.mark.parametrize("kind", ["free", "tabular"])
+    def test_not_a_cocycle_message(self, kind, cp2):
+        # class_coords finds a non-closed element by its failed solve on
+        # [representatives | coboundaries], with the message of the
+        # explicit d(e) = 0 check it replaces
+        obj = cp2 if kind == "free" else s_k_model(3)[0]
+        s = compute(obj, 7, with_cup=False)
+        chain = s.ctx
+        found = 0
+        for k in range(8):
+            for i in range(chain.dim(k)):
+                e = chain.from_coords(k, [Fraction(i == j)
+                                          for j in range(chain.dim(k))])
+                if s.is_cocycle(e):
+                    s.class_coords(e, degree=k)
+                    continue
+                found += 1
+                with pytest.raises(NotACocycle) as err:
+                    s.class_coords(e, degree=k)
+                assert str(err.value) == f"element of degree {k} is not closed"
+                if s.betti[k]:
+                    with pytest.raises(NotACocycle, match="is not closed"):
+                        s.class_coords(e + s.representatives[k][0])
+        assert found
+
     def test_tabular_cohomology(self):
         tab = TabularDGA([("1", 0), ("u", 1), ("s", 2)], {("u", "u"): {},
                                                           ("u", "s"): {},
@@ -128,6 +166,22 @@ class TestChainComplex:
                 assert w.is_zero() or w.degree() == k - 1
             for r in high.representatives[k]:
                 assert primitive(r) is None
+
+    @pytest.mark.parametrize("name", ["q111", "x6", "s_3"])
+    def test_d_matrix_is_the_matrix_of_d(self, name, q111):
+        # sparse assembly against coordinates of d on each basis element
+        obj = {"q111": q111, "x6": x6_model(),
+               "s_3": s_k_model(3)[0]}[name]
+        chain = ChainComplex(obj)
+        for k in range(9):
+            n = chain.dim(k)
+            cols = [chain.coords(obj.d(chain.from_coords(
+                k, [Fraction(i == j) for j in range(n)])), k + 1)
+                for i in range(n)]
+            m, expected = chain.d_matrix(k), Matrix.from_columns(
+                cols, chain.dim(k + 1))
+            assert m == expected and m.data == expected.data
+            assert (m.rows, m.cols) == (chain.dim(k + 1), n)
 
     def test_summary_shares_its_chain_complex(self, q111):
         s = compute(q111, 3, with_cup=False)

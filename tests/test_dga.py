@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdga.constructions import corpus, q_model, s_k_model, x6_model
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import InhomogeneousDifferential, MixedAlgebra, WrongDegree
 from cdga.gca import Algebra
+from cdga.sullivan import minimal_model
+
+from conftest import naive_d, naive_tabular_validate
 
 
 class TestExamples:
@@ -125,6 +129,165 @@ class TestProperties:
         assert d(x * Fraction(5, 3)) == d(x) * Fraction(5, 3)
 
 
+@pytest.fixture(scope="module")
+def x6():
+    return x6_model()
+
+
+@pytest.fixture(scope="module")
+def s3_minimal():
+    return minimal_model(s_k_model(3)[0], 5).dga
+
+
+class TestMonomialLeibniz:
+    """DGA.d against naive_d, the same rule through Element products; both
+    the coefficients and the order of the terms must agree."""
+
+    @staticmethod
+    def check(dga, e):
+        fast, slow = dga.d(e), naive_d(dga, e)
+        assert list(fast.terms.items()) == list(slow.terms.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.integers(-2, 2)] * 3).map(q_model), st.data())
+    def test_q_models(self, dga, data):
+        self.check(dga, data.draw(homogeneous(dga.algebra, 9)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_x6(self, x6, data):
+        self.check(x6, data.draw(homogeneous(x6.algebra, 9)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_minimal_model_of_s3(self, s3_minimal, data):
+        self.check(s3_minimal, data.draw(homogeneous(s3_minimal.algebra, 7)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_image_factor_after_an_odd_tail(self, data):
+        # d(g) = f sorts after t, so g*t -> f*t = -t*f needs the sign of
+        # moving f past the tail
+        alg = Algebra([("g", 2), ("t", 3), ("f", 3)])
+        dga = DGA(alg, Differential(alg, {"g": alg.gen("f")}))
+        g, t, f = alg.gen("g"), alg.gen("t"), alg.gen("f")
+        assert dga.d(g * t) == f * t == -(t * f)
+        self.check(dga, data.draw(homogeneous(alg, 12)))
+
+    def test_every_basis_monomial(self, x6, s3_minimal):
+        for dga in (q_model((1, 1, 1)), x6, s3_minimal):
+            for k in range(8):
+                for mono in dga.algebra.degree_basis(k):
+                    self.check(dga, dga.algebra.element({mono: 1}))
+
+
+# every tabular model of the corpus: the s_k models and the tori, whose
+# corpus object is the cohomology summary of a tabular algebra
+TABULAR_CORPUS = [("s_k", {"k": k}) for k in range(3, 9)] + [
+    ("q111-torus", {}), ("berger-torus", {}), ("w-torus", {"rho": "id"}),
+    ("w-torus", {"rho": "flip"})]
+
+
+def perturbed(tab, products, differential):
+    """tab rebuilt with some product and differential entries replaced;
+    products are keyed by label pairs in basis order."""
+    old_products = {}
+    for (i, j), entry in tab.table.items():
+        if i <= j:
+            old_products[(tab.labels[i], tab.labels[j])] = {
+                tab.labels[k]: c for k, c in entry.items()}
+    old_diff = {tab.labels[i]: {tab.labels[k]: c for k, c in entry.items()}
+                for i, entry in tab.diff.items()}
+    basis = list(zip(tab.labels, tab.degrees))
+    return TabularDGA(basis, {**old_products, **products},
+                      {**old_diff, **differential})
+
+
+@st.composite
+def broken_tables(draw, tab):
+    """tab with up to three product and two differential entries changed,
+    each to a class of the right degree."""
+    n = len(tab.labels)
+    nonunit = [i for i in range(n) if i != tab.unit]
+    by_degree = {}
+    for i, d in enumerate(tab.degrees):
+        by_degree.setdefault(d, []).append(i)
+    coeff = st.integers(-2, 2)
+    products = {}
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = sorted(draw(st.tuples(st.sampled_from(nonunit),
+                                     st.sampled_from(nonunit))))
+        targets = by_degree.get(tab.degrees[i] + tab.degrees[j], [])
+        value = {}
+        if targets and draw(st.booleans()):
+            value = {tab.labels[draw(st.sampled_from(targets))]: draw(coeff)}
+        products[(tab.labels[i], tab.labels[j])] = value
+    differential = {}
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.sampled_from(range(n)))
+        targets = by_degree.get(tab.degrees[i] + 1, [])
+        value = {}
+        if targets and draw(st.booleans()):
+            value = {tab.labels[draw(st.sampled_from(targets))]: draw(coeff)}
+        differential[tab.labels[i]] = value
+    return perturbed(tab, products, differential)
+
+
+@pytest.fixture(scope="module")
+def s3_table():
+    return s_k_model(3)[0]
+
+
+@pytest.fixture(scope="module")
+def torus_table():
+    return corpus("w-torus", rho="id").obj.source
+
+
+class TestSparseValidate:
+    """TabularDGA.validate against naive_tabular_validate, the full n^3 and
+    n^2 sweeps: the same problems in the same order."""
+
+    @pytest.mark.parametrize("name,params", TABULAR_CORPUS)
+    def test_corpus_models(self, name, params):
+        tab = corpus(name, **params).obj
+        tab = tab if isinstance(tab, TabularDGA) else tab.source
+        assert tab.validate() == naive_tabular_validate(tab) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_broken_tables(self, s3_table, torus_table, data):
+        tab = data.draw(st.one_of(broken_tables(s3_table),
+                                  broken_tables(torus_table)))
+        assert tab.validate() == naive_tabular_validate(tab)
+
+    def test_broken_s3_has_every_kind_of_problem(self, s3_table):
+        tab = perturbed(s3_table, {("a", "a"): {"nu": 2}, ("y", "y"): {}},
+                        {"a": {"y*a": 1}})
+        problems = tab.validate()
+        assert problems == naive_tabular_validate(tab)
+        for kind in ("associativity", "d^2", "Leibniz"):
+            assert any(p.startswith(kind) for p in problems)
+
+    def test_differential_on_the_unit(self):
+        # d(1) = u breaks Leibniz on every pair through the unit whose
+        # d(1)*x or x*d(1) is nonzero
+        tab = TabularDGA([("1", 0), ("u", 1), ("s", 2), ("us", 3)],
+                         {("u", "s"): {"us": 1}}, {"1": {"u": 1}})
+        problems = tab.validate()
+        assert problems == naive_tabular_validate(tab)
+        assert "Leibniz fails at 1,s" in problems
+
+    def test_products_and_differential_that_hit_the_unit(self):
+        # w has degree -1: w*u and d(w) are multiples of the unit, whose
+        # products reach every class
+        tab = TabularDGA([("1", 0), ("w", -1), ("u", 1), ("s", 2)],
+                         {("w", "u"): {"1": 1}}, {"w": {"1": 1}})
+        problems = tab.validate()
+        assert problems == naive_tabular_validate(tab)
+        assert "associativity fails at w,u,s" in problems
+        assert "Leibniz fails at w,s" in problems
+
+
 class TestTabular:
     def tab_sphere(self):
         return TabularDGA([("1", 0), ("s", 2), ("t", 4)],
@@ -184,6 +347,13 @@ class TestTabular:
                          {("u", "a"): {"v": 1}}, {"v": {"w": 1}})
         assert tab.validate() == ["Leibniz fails at u,a",
                                   "Leibniz fails at a,u"]
+
+    def test_negative_power_rejected(self):
+        tab = self.tab_sphere()
+        s = tab.gen("s")
+        assert s ** 0 == tab.one() and s ** 2 == tab.gen("t")
+        with pytest.raises(ValueError, match="negative power"):
+            s ** -1
 
     def test_needs_single_unit(self):
         with pytest.raises(ValueError):

@@ -287,6 +287,19 @@ def fraction_rows(dm):
 any_matrix = st.one_of(matrices, sparse_matrices())
 
 
+@st.composite
+def row_denominator_matrices(draw):
+    """Integer rows, each over its own denominator."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    data = []
+    for _ in range(rows):
+        den = draw(st.integers(1, 12))
+        data.append([Fraction(draw(st.integers(-6, 6)), den)
+                     for _ in range(cols)])
+    return Matrix(data, cols=cols)
+
+
 class TestDomainMatrixOracle:
     """sympy's DomainMatrix over QQ as a second oracle, independent of the
     cdga kernel.  sympy is a test dependency only."""
@@ -323,6 +336,17 @@ class TestDomainMatrixOracle:
                 solve(m, b)
 
     @settings(max_examples=150, deadline=None)
+    @given(row_denominator_matrices())
+    def test_image_with_row_denominators(self, m):
+        # image reads the matrix by columns, so one scale must serve every row
+        dm = domain_matrix(m.data, (m.rows, m.cols))
+        im = image(m)
+        assert im.dim == dm.rank()
+        assert im == Subspace(m.rows,
+                              fraction_rows(dm.columnspace().transpose()))
+        assert all(im.member(c) for c in zip(*m.data))
+
+    @settings(max_examples=150, deadline=None)
     @given(any_matrix)
     def test_inverse(self, m):
         if m.rows != m.cols:
@@ -336,6 +360,20 @@ class TestDomainMatrixOracle:
         else:
             assert [list(r) for r in m.inverse().data] == \
                 fraction_rows(dm.inv())
+
+
+class TestExactForm:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(any_matrix, row_denominator_matrices()))
+    def test_round_trips(self, m):
+        # int rows over one denominator and the Fraction rows in data
+        # describe the same matrix through every constructor
+        assert Matrix(m.data, cols=m.cols) == m
+        if m.rows:
+            assert m.transpose().data == tuple(zip(*m.data))
+        assert m.transpose().transpose() == m
+        assert Matrix.from_columns(m.transpose().data, m.rows) == m
+        assert m.matmul(Matrix.identity(m.cols)) == m
 
 
 def test_sympy_is_not_a_runtime_dependency():
