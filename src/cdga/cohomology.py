@@ -101,15 +101,17 @@ class ChainComplex:
         if z.is_zero():
             return self.dga.zero()
         k = z.degree()
-        if not self.d(z).is_zero():
-            raise NotACocycle("element is not closed")
         solver = self._exact_solver.get(k)
         if solver is None:
             solver = self._exact_solver[k] = exactla.LinearSolver(
                 self.d_matrix(k - 1))
+        # a solution w shows z = d(w) is closed; only a failed solve needs
+        # the closedness check
         try:
             x = solver.solve(self.coords(z, k))
         except exactla.NoSolution:
+            if not self.d(z).is_zero():
+                raise NotACocycle("element is not closed") from None
             return None
         return self.from_coords(k - 1, x)
 
@@ -214,7 +216,8 @@ class CohomologySummary:
         """The element sum_i vec[i] * representative_i in degree k."""
         out = self.ctx.dga.zero()
         for c, r in zip(vec, self.representatives[k]):
-            out = out + r * Fraction(c)
+            if c:
+                out = out + r * Fraction(c)
         return out
 
 

@@ -8,6 +8,13 @@ d(a12) = a1*a2 and d(a23) = a2*a3 the representative is
 living in degree p1+p2+p3-1.  The verdict compares the representative's
 class against the indeterminacy subspace [a1]*H^{p2+p3-1} + [a3]*H^{p1+p2-1},
 so it does not depend on the primitive choices.
+
+The representative formula and the indeterminacy basis each live in one
+private helper here.  triple() feeds them fresh products;
+sullivan.massey_search feeds them a cup table local to one search, with the
+primitive of each representative pair solved once and the indeterminacy
+built once per outer pair, and hands the first non-vanishing triple back to
+triple() to build the witness.
 """
 
 from __future__ import annotations
@@ -74,20 +81,12 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
         if a23 is None:
             raise NotDefined("[a2][a3] is a nonzero class")
 
-    sign = Fraction(1 if (p1 + 1) % 2 == 0 else -1)
-    rep = a1 * a23 + (a12 * a3) * sign
+    rep = _representative(a1, a3, a12, a23, p1)
     _, rep_class = summary.class_coords(rep, degree=n)
-
-    indet_vecs = []
-    for h in summary.representatives[p2 + p3 - 1]:
-        _, v = summary.class_coords(a1 * h, degree=n)
-        if any(v):
-            indet_vecs.append(v)
-    for h in summary.representatives[p1 + p2 - 1]:
-        _, v = summary.class_coords(a3 * h, degree=n)
-        if any(v):
-            indet_vecs.append(v)
-    indet = Subspace(summary.betti[n], indet_vecs)
+    indet = _indeterminacy(
+        summary, (p1, p2, p3), a1, a3,
+        lambda a, k, j: summary.class_coords(
+            a * summary.representatives[k][j], degree=n)[1])
 
     return MasseyResult(
         defined=True,
@@ -98,6 +97,30 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
         vanishes=indet.member(rep_class),
         representative_class=rep_class,
     )
+
+
+def _representative(a1, a3, a12, a23, p1):
+    """The cocycle a1*a23 + (-1)^{p1+1} a12*a3 of <a1, a2, a3>."""
+    sign = Fraction(1 if (p1 + 1) % 2 == 0 else -1)
+    return a1 * a23 + (a12 * a3) * sign
+
+
+def _indeterminacy(summary, degrees, a1, a3, cup):
+    """[a1]*H^{p2+p3-1} + [a3]*H^{p1+p2-1} inside H^{p1+p2+p3-1}.
+
+    cup(a, k, j) is the class of a * h in rep coordinates, for a one of the
+    ends a1, a3 as passed in and h the j-th degree-k representative.  The
+    products are taken in one order: a1*h over degree p2+p3-1, then a3*h
+    over degree p1+p2-1.
+    """
+    p1, p2, p3 = degrees
+    vecs = []
+    for a, k in ((a1, p2 + p3 - 1), (a3, p1 + p2 - 1)):
+        for j in range(summary.betti[k]):
+            v = cup(a, k, j)
+            if any(v):
+                vecs.append(v)
+    return Subspace(summary.betti[p1 + p2 + p3 - 1], vecs)
 
 
 def try_triple(obj, a1, a2, a3, **kw):

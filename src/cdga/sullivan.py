@@ -24,7 +24,7 @@ from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
                      NotSimplyConnected)
 from .exactla import Matrix, Subspace
 from .gca import Algebra, Element
-from .massey import try_triple
+from .massey import _indeterminacy, _representative, triple
 
 DEFAULT_DIM_BUDGET = 6000
 DEFAULT_GEN_BUDGET = 300
@@ -371,19 +371,67 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
 
 def massey_search(obj, summary, cap):
     """First defined, non-vanishing triple Massey product over the chosen
-    representatives, or None."""
+    representatives, or None.
+
+    Triples are visited in a fixed order and read a cup table local to the
+    call: the primitive of each representative product r*r' (None when it
+    is a nonzero class) and the class of each product are solved once.  A
+    defined triple costs its representative and one class solve; a nonzero
+    class is then tested against the indeterminacy, built once per outer
+    pair (r1, r3) and middle degree.  The witness returned is built by
+    massey.triple.
+    """
+    _require_cover(summary, obj, cap)
+    reps = summary.representatives
+    primitives, cups, indets = {}, {}, {}
+
+    def primitive(p, i, q, j):
+        key = (p, i, q, j)
+        if key not in primitives:
+            primitives[key] = summary.is_exact(reps[p][i] * reps[q][j])
+        return primitives[key]
+
+    def cup(end, k, j):
+        key = end + (k, j)
+        v = cups.get(key)
+        if v is None:
+            p, i = end
+            v = cups[key] = summary.class_coords(
+                reps[p][i] * reps[k][j], degree=p + k)[1]
+        return v
+
     degs = [k for k in range(1, cap + 1) if summary.betti[k] > 0]
     for p1, p2, p3 in itertools.product(degs, repeat=3):
         n = p1 + p2 + p3 - 1
         if n > cap or summary.betti[n] == 0:
             continue
-        for r1 in summary.representatives[p1]:
-            for r2 in summary.representatives[p2]:
-                for r3 in summary.representatives[p3]:
-                    res = try_triple(obj, r1, r2, r3, summary=summary)
-                    if res.defined and not res.vanishes:
-                        return (r1, r2, r3), res
+        for i1, r1 in enumerate(reps[p1]):
+            for i2, r2 in enumerate(reps[p2]):
+                a12 = primitive(p1, i1, p2, i2)
+                if a12 is None:
+                    continue
+                for i3, r3 in enumerate(reps[p3]):
+                    a23 = primitive(p2, i2, p3, i3)
+                    if a23 is None:
+                        continue
+                    rep = _representative(r1, r3, a12, a23, p1)
+                    _, rep_class = summary.class_coords(rep, degree=n)
+                    if not any(rep_class):
+                        continue    # a zero class lies in any indeterminacy
+                    key = (p1, i1, p3, i3, p2)
+                    indet = indets.get(key)
+                    if indet is None:
+                        indet = indets[key] = _indeterminacy(
+                            summary, (p1, p2, p3), (p1, i1), (p3, i3), cup)
+                    if not indet.member(rep_class):
+                        return (r1, r2, r3), triple(obj, r1, r2, r3,
+                                                    summary=summary)
     return None
+
+
+def _require_cover(summary, obj, cap):
+    if summary.source is not obj or summary.max_degree < cap:
+        raise BoundTooLow("summary does not cover the requested degree cap")
 
 
 def formality(obj, dimension, s=None, cap=None,
@@ -399,8 +447,8 @@ def formality(obj, dimension, s=None, cap=None,
     s = s if s is not None else required_s(dimension)
     if summary is None:
         summary = compute(obj, cap, with_cup=False)
-    elif summary.source is not obj or summary.max_degree < cap:
-        raise BoundTooLow("summary does not cover the requested degree cap")
+    else:
+        _require_cover(summary, obj, cap)
     b1 = summary.betti[1] if cap >= 1 else 0
     b2 = summary.betti[2] if cap >= 2 else 0
 

@@ -101,6 +101,28 @@ def naive_tabular_validate(tab):
     return problems
 
 
+def naive_massey_search(obj, summary, cap):
+    """The Massey search as one try_triple per triple: each call checks its
+    arguments, forms both products, solves for both primitives and builds
+    the indeterminacy afresh.  Same visiting order as sullivan's search."""
+    import itertools
+
+    from cdga.massey import try_triple
+
+    degs = [k for k in range(1, cap + 1) if summary.betti[k] > 0]
+    for p1, p2, p3 in itertools.product(degs, repeat=3):
+        n = p1 + p2 + p3 - 1
+        if n > cap or summary.betti[n] == 0:
+            continue
+        for r1 in summary.representatives[p1]:
+            for r2 in summary.representatives[p2]:
+                for r3 in summary.representatives[p3]:
+                    res = try_triple(obj, r1, r2, r3, summary=summary)
+                    if res.defined and not res.vanishes:
+                        return (r1, r2, r3), res
+    return None
+
+
 def poincare_coefficient(generator_degrees, k):
     """Coefficient of t^k in prod_even (1-t^d)^-1 * prod_odd (1+t^d)."""
     series = [0] * (k + 1)

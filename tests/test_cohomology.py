@@ -60,11 +60,22 @@ class TestExamples:
             assert is_exact(dga, dga.one()) == (False, None)
 
     def test_not_a_cocycle_raises(self, cp2):
-        s = compute(cp2, 6, with_cup=False)
-        with pytest.raises(NotACocycle):
-            s.class_coords(cp2.gen("x"))
-        with pytest.raises(NotACocycle):
-            s.is_exact(cp2.gen("x"))
+        # every non-closed basis element, free (cp2) and tabular (s_3)
+        for obj in (cp2, s_k_model(3)[0]):
+            s = compute(obj, 6, with_cup=False)
+            chain = s.ctx
+            open_elems = [e for k in range(7) for e in
+                          (chain.from_coords(k, [Fraction(i == j)
+                                                 for j in range(chain.dim(k))])
+                           for i in range(chain.dim(k)))
+                          if not s.is_cocycle(e)]
+            assert open_elems
+            for e in open_elems:
+                with pytest.raises(NotACocycle):
+                    s.class_coords(e)
+                with pytest.raises(NotACocycle,
+                                   match="^element is not closed$"):
+                    s.is_exact(e)
 
     def test_degree_bound_enforced(self, cp2):
         s = compute(cp2, 2, with_cup=False)
@@ -128,6 +139,23 @@ class TestExamples:
         s = compute(cp2, 4, with_cup=True)
         # [a] cup [a] = [a^2], both one-dimensional
         assert s.cup[(2, 0, 2, 0)] == (Fraction(1),)
+
+    @pytest.mark.parametrize("kind", ["free", "tabular"])
+    def test_rep_combination_is_the_coordinate_sum(self, kind, q111):
+        obj = q111 if kind == "free" else s_k_model(3)[0]
+        s = compute(obj, 6, with_cup=False)
+        for k in range(7):
+            b = s.betti[k]
+            reps = [s.ctx.coords(r, k) for r in s.representatives[k]]
+            vecs = [[Fraction(0)] * b,
+                    [Fraction(i % 2) for i in range(b)],
+                    [Fraction(-i, 3) for i in range(b)],
+                    [Fraction(i + 1) * (i != b - 1) for i in range(b)]]
+            for v in vecs:
+                want = s.ctx.from_coords(
+                    k, [sum((c * r[t] for c, r in zip(v, reps)), Fraction(0))
+                        for t in range(s.ctx.dim(k))])
+                assert s.rep_combination(k, v) == want
 
     def test_rep_combination_inverts_class_coords(self, q111):
         s = compute(q111, 5, with_cup=False)

@@ -7,6 +7,7 @@ import pytest
 
 from cdga.cohomology import compute
 from cdga.errors import NotACocycle, NotDefined
+from cdga.exactla import Subspace
 from cdga.massey import triple, try_triple
 
 
@@ -107,6 +108,32 @@ class TestChoiceIndependence:
         assert scaled.representative_class == tuple(
             c * lam for c in base.representative_class)
         assert scaled.vanishes == base.vanishes
+
+
+class TestIndeterminacy:
+    # on Q(0,0,0) = (S^2)^3 x S^1, <y, y*a1, a1> has [y]*H^4 not inside
+    # [a1]*H^2, and the reversed triple the other way round
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_both_halves_of_the_indeterminacy(self, reverse):
+        from cdga.constructions import q_model
+        obj = q_model((0, 0, 0))
+        s = compute(obj, 7, with_cup=False)
+        y, a1 = obj.gen("y"), obj.gen("a1")
+        b1, b3 = (a1, y) if reverse else (y, a1)
+        res = triple(obj, b1, y * a1, b3, summary=s)
+        p1, p3 = b1.degree(), b3.degree()
+        n = res.degree
+        assert n == p1 + 3 + p3 - 1
+
+        def half(a, k):
+            return Subspace(s.betti[n], [s.class_coords(a * h, degree=n)[1]
+                                         for h in s.representatives[k]])
+
+        left, right = half(b1, 3 + p3 - 1), half(b3, p1 + 3 - 1)
+        assert res.indeterminacy == Subspace(
+            s.betti[n], list(left.basis) + list(right.basis))
+        outer, inner = (right, left) if reverse else (left, right)
+        assert not inner.contains(outer)
 
 
 class TestFormalityConsistency:

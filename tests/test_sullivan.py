@@ -1,19 +1,23 @@
 """Minimal models, quasi-isomorphisms, s-formality, formality verdicts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cdga import sullivan
 from cdga.cohomology import compute
-from cdga.constructions import lens_bundle_cp2_model, q_model, x6_model
+from cdga.constructions import (corpus, lens_bundle_cp2_model, q_model,
+                                s_k_model, x6_model)
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import (BoundTooLow, NotAChainMap, NotMinimal,
                          NotSimplyConnected)
 from cdga.gca import Algebra
+from cdga.massey import triple
 from cdga.sullivan import (DgaMorphism, formality, formality_shortcut,
                            is_quasi_iso, minimal_model, required_s,
-                           s_formality_check)
+                           massey_search, s_formality_check)
+from conftest import naive_massey_search
 
 
 def tabular_cohomology_of(dga, bound):
@@ -262,3 +266,99 @@ class TestFormalityDriver:
             img = model.dga.differential.of_generator(g.ordinal)
             for mono in img.terms:
                 assert sum(e for _, e in mono) >= 2
+
+
+def _two_primitive_model():
+    """S^2 v S^3 through its degree-5 generators, with a second primitive t
+    of a^2 listed first.  is_exact(a^2) is then t, which carries the closed
+    class t - x, so <a, a, c> has a nonzero class inside its
+    indeterminacy [a]*H^4 + [c]*H^3, and the two halves have different
+    degrees."""
+    alg = Algebra([("t", 3), ("a", 2), ("c", 3), ("x", 3), ("y", 4),
+                   ("v", 5)])
+    a, c, x, y = (alg.gen(n) for n in "acxy")
+    return DGA(alg, Differential(alg, {
+        "t": a ** 2, "x": a ** 2, "y": a * c, "v": a * y + c * x}))
+
+
+def _search_models():
+    yield "two-primitive", _two_primitive_model()
+    for e in itertools.product(range(-2, 3), repeat=3):
+        yield f"q{e}", q_model(e)
+    yield "x6", x6_model()
+    yield "berger", corpus("berger").obj
+    yield "aw(1,1)", corpus("aloff-wallach", k=1, l=1).obj
+    yield "aw(1,-1)", corpus("aloff-wallach", k=1, l=-1).obj
+    yield "s_3", s_k_model(3)[0]
+    yield "s_4", s_k_model(4)[0]
+
+
+class TestMasseySearch:
+    def test_agrees_with_one_try_triple_per_triple(self):
+        hits = 0
+        for name, obj in _search_models():
+            summary = compute(obj, 7, with_cup=False)
+            want = naive_massey_search(obj, summary, 7)
+            got = massey_search(obj, summary, 7)
+            assert (got is None) == (want is None), name
+            if got is None:
+                continue
+            hits += 1
+            assert got[0] == want[0], name
+            res, ref = got[1], want[1]
+            assert res.degree == ref.degree
+            assert str(res.representative) == str(ref.representative)
+            assert res.primitives == ref.primitives
+            assert res.indeterminacy.dim == ref.indeterminacy.dim
+            assert res.representative_class == ref.representative_class
+            assert res.vanishes is ref.vanishes is False
+        # 64 of the 125 Q(e) have e1*e2*e3 != 0, s_3 and s_4 are
+        # non-formal, and the truncated two-primitive model has a
+        # non-vanishing triple in degree 7
+        assert hits == 67
+
+    @pytest.mark.parametrize("e", [(1, 1, 1), (1, 0, 0), (0, 0, 0)])
+    def test_one_witness_and_one_solve_per_pair(self, e, monkeypatch):
+        obj = q_model(e)
+        summary = compute(obj, 7, with_cup=False)
+        witnesses, solved = [], []
+        exact = summary.is_exact
+        pairs = sum(summary.betti[p] * summary.betti[q]
+                    for p in range(1, 8) for q in range(1, 8 - p))
+
+        def counting_triple(*args, **kw):
+            witnesses.append(args)
+            return "witness"
+
+        def counting_exact(z):
+            solved.append(z)
+            return exact(z)
+
+        monkeypatch.setattr(sullivan, "triple", counting_triple)
+        monkeypatch.setattr(summary, "is_exact", counting_exact)
+        found = massey_search(obj, summary, 7)
+        assert len(witnesses) == (1 if found else 0)
+        assert (found is not None) == (e == (1, 1, 1))
+        assert found is None or found[1] == "witness"
+        # each ordered pair of representatives is solved for a primitive
+        # at most once
+        assert 0 < len(solved) <= pairs
+
+    def test_summary_must_cover_the_cap(self, q111):
+        short = compute(q111, 5, with_cup=False)
+        with pytest.raises(BoundTooLow,
+                           match="^summary does not cover the requested "
+                                 "degree cap$"):
+            massey_search(q111, short, 7)
+        other = compute(q_model((1, 1, 1)), 7, with_cup=False)
+        with pytest.raises(BoundTooLow,
+                           match="^summary does not cover the requested "
+                                 "degree cap$"):
+            massey_search(q111, other, 7)
+
+    def test_nonzero_class_inside_the_indeterminacy_vanishes(self):
+        obj = _two_primitive_model()
+        summary = compute(obj, 7, with_cup=False)
+        a, c = obj.gen("a"), obj.gen("c")
+        res = triple(obj, a, a, c, summary=summary)
+        assert any(res.representative_class) and res.vanishes
