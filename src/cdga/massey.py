@@ -10,11 +10,10 @@ class against the indeterminacy subspace [a1]*H^{p2+p3-1} + [a3]*H^{p1+p2-1},
 so it does not depend on the primitive choices.
 
 The representative formula and the indeterminacy basis each live in one
-private helper here.  triple() feeds them fresh products;
-sullivan.massey_search feeds them a cup table local to one search, with the
-primitive of each representative pair solved once and the indeterminacy
-built once per outer pair, and hands the first non-vanishing triple back to
-triple() to build the witness.
+private helper here, used by triple() and by sullivan.massey_search.  The
+search solves the primitive of each representative pair once per call,
+builds the indeterminacy only for a triple whose class is nonzero, and
+hands the first non-vanishing triple back to triple() to build the witness.
 """
 
 from __future__ import annotations
@@ -83,10 +82,7 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
 
     rep = _representative(a1, a3, a12, a23, p1)
     _, rep_class = summary.class_coords(rep, degree=n)
-    indet = _indeterminacy(
-        summary, (p1, p2, p3), a1, a3,
-        lambda a, k, j: summary.class_coords(
-            a * summary.representatives[k][j], degree=n)[1])
+    indet = _indeterminacy(summary, (p1, p2, p3), a1, a3)
 
     return MasseyResult(
         defined=True,
@@ -105,22 +101,21 @@ def _representative(a1, a3, a12, a23, p1):
     return a1 * a23 + (a12 * a3) * sign
 
 
-def _indeterminacy(summary, degrees, a1, a3, cup):
+def _indeterminacy(summary, degrees, a1, a3):
     """[a1]*H^{p2+p3-1} + [a3]*H^{p1+p2-1} inside H^{p1+p2+p3-1}.
 
-    cup(a, k, j) is the class of a * h in rep coordinates, for a one of the
-    ends a1, a3 as passed in and h the j-th degree-k representative.  The
-    products are taken in one order: a1*h over degree p2+p3-1, then a3*h
-    over degree p1+p2-1.
+    Spanned by the classes of a1*h over the degree-(p2+p3-1) representatives
+    h, then of a3*h over the degree-(p1+p2-1) ones, in rep coordinates.
     """
     p1, p2, p3 = degrees
+    n = p1 + p2 + p3 - 1
     vecs = []
     for a, k in ((a1, p2 + p3 - 1), (a3, p1 + p2 - 1)):
-        for j in range(summary.betti[k]):
-            v = cup(a, k, j)
+        for h in summary.representatives[k]:
+            v = summary.class_coords(a * h, degree=n)[1]
             if any(v):
                 vecs.append(v)
-    return Subspace(summary.betti[p1 + p2 + p3 - 1], vecs)
+    return Subspace(summary.betti[n], vecs)
 
 
 def try_triple(obj, a1, a2, a3, **kw):

@@ -373,32 +373,21 @@ def massey_search(obj, summary, cap):
     """First defined, non-vanishing triple Massey product over the chosen
     representatives, or None.
 
-    Triples are visited in a fixed order and read a cup table local to the
-    call: the primitive of each representative product r*r' (None when it
-    is a nonzero class) and the class of each product are solved once.  A
-    defined triple costs its representative and one class solve; a nonzero
-    class is then tested against the indeterminacy, built once per outer
-    pair (r1, r3) and middle degree.  The witness returned is built by
-    massey.triple.
+    Triples are visited in a fixed order.  The primitive of each
+    representative product r*r' (None when it is a nonzero class) is solved
+    once per call.  A defined triple costs its representative and one class
+    solve; a nonzero class is then tested against the indeterminacy of its
+    outer pair (r1, r3).  The witness returned is built by massey.triple.
     """
     _require_cover(summary, obj, cap)
     reps = summary.representatives
-    primitives, cups, indets = {}, {}, {}
+    primitives = {}
 
     def primitive(p, i, q, j):
         key = (p, i, q, j)
         if key not in primitives:
             primitives[key] = summary.is_exact(reps[p][i] * reps[q][j])
         return primitives[key]
-
-    def cup(end, k, j):
-        key = end + (k, j)
-        v = cups.get(key)
-        if v is None:
-            p, i = end
-            v = cups[key] = summary.class_coords(
-                reps[p][i] * reps[k][j], degree=p + k)[1]
-        return v
 
     degs = [k for k in range(1, cap + 1) if summary.betti[k] > 0]
     for p1, p2, p3 in itertools.product(degs, repeat=3):
@@ -418,11 +407,7 @@ def massey_search(obj, summary, cap):
                     _, rep_class = summary.class_coords(rep, degree=n)
                     if not any(rep_class):
                         continue    # a zero class lies in any indeterminacy
-                    key = (p1, i1, p3, i3, p2)
-                    indet = indets.get(key)
-                    if indet is None:
-                        indet = indets[key] = _indeterminacy(
-                            summary, (p1, p2, p3), (p1, i1), (p3, i3), cup)
+                    indet = _indeterminacy(summary, (p1, p2, p3), r1, r3)
                     if not indet.member(rep_class):
                         return (r1, r2, r3), triple(obj, r1, r2, r3,
                                                     summary=summary)

@@ -281,8 +281,18 @@ def _two_primitive_model():
         "t": a ** 2, "x": a ** 2, "y": a * c, "v": a * y + c * x}))
 
 
+def _filiform_model():
+    """The 4-dimensional filiform nilmanifold: du = dw = 0, dz = u*w,
+    ds = u*z.  Its degree-1 classes u, w have an exact product, so the
+    search needs primitives of both u*w and w*u, which differ in sign."""
+    alg = Algebra([("u", 1), ("w", 1), ("z", 1), ("s", 1)])
+    u, w, z = (alg.gen(n) for n in "uwz")
+    return DGA(alg, Differential(alg, {"z": u * w, "s": u * z}))
+
+
 def _search_models():
     yield "two-primitive", _two_primitive_model()
+    yield "filiform", _filiform_model()
     for e in itertools.product(range(-2, 3), repeat=3):
         yield f"q{e}", q_model(e)
     yield "x6", x6_model()
@@ -312,10 +322,36 @@ class TestMasseySearch:
             assert res.indeterminacy.dim == ref.indeterminacy.dim
             assert res.representative_class == ref.representative_class
             assert res.vanishes is ref.vanishes is False
-        # 64 of the 125 Q(e) have e1*e2*e3 != 0, s_3 and s_4 are
-        # non-formal, and the truncated two-primitive model has a
-        # non-vanishing triple in degree 7
-        assert hits == 67
+        # 64 of the 125 Q(e) have e1*e2*e3 != 0, s_3, s_4 and the
+        # filiform nilmanifold are non-formal, and the truncated
+        # two-primitive model has a non-vanishing triple in degree 7
+        assert hits == 68
+
+    def test_primitives_bound_the_products_in_order(self, monkeypatch):
+        # r1*r2 and r2*r1 differ by (-1)^{p1 p2}, so a primitive of one is
+        # not one of the other; every representative the search forms must
+        # use d(a12) = r1*r2 and d(a23) = r2*r3 for one middle class r2
+        representative = sullivan._representative
+        checked = []
+        for name, obj in _search_models():
+            summary = compute(obj, 7, with_cup=False)
+            reps = summary.representatives
+
+            def checking(r1, r3, a12, a23, p1):
+                d12, d23 = summary.ctx.d(a12), summary.ctx.d(a23)
+                middle = [r2 for k in range(1, 8) for r2 in reps[k]
+                          if d12 == r1 * r2 and d23 == r2 * r3]
+                assert middle, name
+                checked.append(any(
+                    (p1 * r2.degree()) % 2 and not (r1 * r2).is_zero()
+                    or (r2.degree() * r3.degree()) % 2
+                    and not (r2 * r3).is_zero()
+                    for r2 in middle))
+                return representative(r1, r3, a12, a23, p1)
+
+            monkeypatch.setattr(sullivan, "_representative", checking)
+            massey_search(obj, summary, 7)
+        assert len(checked) > 100 and any(checked)
 
     @pytest.mark.parametrize("e", [(1, 1, 1), (1, 0, 0), (0, 0, 0)])
     def test_one_witness_and_one_solve_per_pair(self, e, monkeypatch):
