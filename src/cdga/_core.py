@@ -2,12 +2,17 @@
 
 Gauss-Jordan elimination on integer rows stored as {col: value} maps that
 hold only nonzero entries.  For each column c in order, the pivot row is the
-first remaining row with an entry at c; every other row, remaining or already
-pivoted, that has an entry m at c is replaced by (p/g)*row - (m/g)*prow, where
-p is the pivot entry and g = gcd(p, m).  Rows that are zero at c are not
-touched, so the work follows the nonzero entries rather than rows x cols.
-Each updated row is then divided by the gcd of its entries (its content),
-which keeps entries small without any rational arithmetic.
+remaining row of lowest input position with an entry at c; every other row,
+remaining or already pivoted, that has an entry m at c is replaced by
+(p/g)*row - (m/g)*prow, where p is the pivot entry and g = gcd(p, m).  Each
+updated row is then divided by the gcd of its entries (its content), which
+keeps entries small without any rational arithmetic.
+
+A col -> rows index, one for the remaining rows and one for the pivot rows,
+names the rows holding c, so rows that are zero at c are neither touched nor
+scanned.  Clearing c with the pivot row changes a row only at the pivot
+row's columns, so only those index entries are updated.  The work therefore
+follows the nonzero entries rather than rows x cols.
 
 Every step multiplies a row by a nonzero rational or adds a multiple of
 another row to it, so the row space never changes; at the end each pivot row
@@ -17,6 +22,7 @@ echelon form over Q, which is unique for the row space.  Pivot columns are
 taken in column order, which keeps output bases deterministic.
 """
 
+from collections import defaultdict
 from math import gcd
 
 
@@ -27,19 +33,51 @@ def rref_int(rows, ncols):
     in pivot order.  Row i divided by its entry at pivots[i] is row i of the
     rational RREF; zero rows are dropped.  The input rows are not modified.
     """
-    pending = [r for r in rows if r]
-    done = []
+    pending = {}                   # input position -> row not yet a pivot
+    pending_at = defaultdict(set)  # col -> positions of pending rows there
+    for i, r in enumerate(rows):
+        if r:
+            pending[i] = r
+            for j in r:
+                pending_at[j].add(i)
+    done = []                      # pivot rows, in pivot order
+    done_at = defaultdict(set)     # col -> indices of pivot rows there
     pivots = []
     for c in range(ncols):
         if not pending:
             break
-        pi = next((i for i, r in enumerate(pending) if c in r), -1)
-        if pi < 0:
+        holders = pending_at.pop(c, None)
+        if not holders:
             continue
+        pi = min(holders)
+        holders.remove(pi)
         prow = _primitive(pending.pop(pi))
-        pending = [r for r in (_clear(r, prow, c) if c in r else r
-                               for r in pending) if r]
-        done = [_clear(r, prow, c) if c in r else r for r in done]
+        # clearing c with prow changes a row only at prow's other columns
+        others = [j for j in prow if j != c]
+        for j in others:
+            pending_at[j].discard(pi)
+        for i in holders:
+            row = pending[i]
+            pending[i] = new = _clear(row, prow, c)
+            for j in others:
+                if j in new:
+                    if j not in row:
+                        pending_at[j].add(i)
+                elif j in row:
+                    pending_at[j].discard(i)
+            if not new:
+                del pending[i]
+        for t in done_at.pop(c, ()):
+            row = done[t]
+            done[t] = new = _clear(row, prow, c)
+            for j in others:
+                if j in new:
+                    if j not in row:
+                        done_at[j].add(t)
+                elif j in row:
+                    done_at[j].discard(t)
+        for j in others:
+            done_at[j].add(len(done))
         done.append(prow)
         pivots.append(c)
     return done, pivots

@@ -66,7 +66,19 @@ class ParamOutOfRange(CdgaError):
 
 
 class ModelTooLarge(CdgaError):
-    """A staged construction exceeded its size budget before finishing."""
+    """A staged construction exceeded its size budget before finishing.
+
+    Where it stopped, as far as known: the stage, the degree and dimension
+    of the piece over budget, and the generator count.
+    """
+
+    def __init__(self, message, stage=None, degree=None, dimension=None,
+                 generators=None):
+        super().__init__(message)
+        self.stage = stage
+        self.degree = degree
+        self.dimension = dimension
+        self.generators = generators
 
 
 class ModelSyntaxError(CdgaError):

@@ -5,6 +5,12 @@ odd generators with exponent exactly 1.  Reordering picks up the Koszul sign
 (-1)^{|u||v|} per transposition of odd factors, and the square of an odd
 generator is zero.  Elements are finite maps from normal-form monomials to
 nonzero rational coefficients, so equality is structural.
+
+degree_basis enumerates the monomials of one degree by recursion over the
+generators in factor order.  A branch stops as soon as the next generator's
+degree exceeds the degree left to fill, since every later one is at least as
+large, so the enumeration costs about as much as the basis it returns.  Each
+Algebra caches its bases per degree.
 """
 
 from __future__ import annotations
@@ -136,7 +142,8 @@ class Algebra:
             if rem == 0:
                 out.append(tuple(acc))
                 return
-            if pos == len(order):
+            # factors come in degree order: once one is too big, all are
+            if pos == len(order) or gens[order[pos]].degree > rem:
                 return
             gi = order[pos]
             d = gens[gi].degree

@@ -45,16 +45,30 @@ class DgaMorphism:
             if not img.is_zero() and img.degree() != g.degree:
                 raise ValueError(f"image of {g.name} has the wrong degree")
             self.images[g.ordinal] = img
+        unknown = set(images) - {g.name for g in domain.algebra.generators}
+        if unknown:
+            raise KeyError(f"images for unknown generators: {sorted(unknown)}")
+        self._mono_images = {(): codomain.one()}  # monomial -> its image
+
+    def _image(self, mono):
+        """Image of a normal-form monomial, as image(prefix) * image(last
+        factor); each monomial and prefix is evaluated once per morphism."""
+        memo = self._mono_images
+        img = memo.get(mono)
+        chain = []
+        while img is None:
+            chain.append(mono)
+            gi, exp = mono[-1]
+            mono = mono[:-1] + (((gi, exp - 1),) if exp > 1 else ())
+            img = memo.get(mono)
+        for mono in reversed(chain):
+            img = memo[mono] = img * self.images[mono[-1][0]]
+        return img
 
     def __call__(self, e: Element):
         out = self.codomain.zero()
         for mono, coeff in e.terms.items():
-            term = self.codomain.one()
-            for gi, exp in mono:
-                img = self.images[gi]
-                for _ in range(exp):
-                    term = term * img
-            out = out + term * Fraction(coeff)
+            out = out + self._image(mono) * Fraction(coeff)
         return out
 
     def chain_map_failures(self):
@@ -77,8 +91,15 @@ def is_quasi_iso(f: DgaMorphism, max_degree, domain_summary=None,
                  codomain_summary=None):
     """(bool, per-degree report) for H^k(f) being an isomorphism, k <= bound."""
     f.check_chain_map()
-    ds = domain_summary or compute(f.domain, max_degree + 1, with_cup=False)
-    cs = codomain_summary or compute(f.codomain, max_degree + 1, with_cup=False)
+    ds, cs = domain_summary, codomain_summary
+    if ds is None:
+        ds = compute(f.domain, max_degree + 1, with_cup=False)
+    else:
+        _require_cover(ds, f.domain, max_degree)
+    if cs is None:
+        cs = compute(f.codomain, max_degree + 1, with_cup=False)
+    else:
+        _require_cover(cs, f.codomain, max_degree)
     report = []
     ok = True
     for k in range(max_degree + 1):
@@ -115,12 +136,24 @@ def _transplant(new_alg: Algebra, e: Element) -> Element:
     return Element(new_alg, dict(e.terms))
 
 
-def _guard_dims(alg: Algebra, up_to, max_dim):
-    for k in range(up_to + 1):
-        if len(alg.degree_basis(k)) > max_dim:
+def _guard_dims(alg: Algebra, stage, max_dim):
+    """ModelTooLarge unless every piece through degree stage + 2 fits."""
+    count = len(alg.generators)
+    for k in range(stage + 3):
+        dim = len(alg.degree_basis(k))
+        if dim > max_dim:
             raise ModelTooLarge(
-                f"degree-{k} piece has dimension > {max_dim}; "
-                "the target is too rationally hyperbolic for this bound")
+                f"stage {stage}: the degree-{k} piece has dimension {dim} > "
+                f"max_dim {max_dim}, with {count} generators; the target is "
+                "too rationally hyperbolic for this bound", stage=stage,
+                degree=k, dimension=dim, generators=count)
+
+
+def _guard_gens(stage, count, max_gens):
+    if count > max_gens:
+        raise ModelTooLarge(
+            f"stage {stage}: {count} generators > max_gens {max_gens}",
+            stage=stage, generators=count)
 
 
 def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
@@ -128,7 +161,10 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
     """Staged minimal model of a 1-connected DGA or TabularDGA.
 
     A precomputed cohomology summary of target covering degree
-    max_degree + 1 may be passed in.
+    max_degree + 1 may be passed in.  Stage k raises ModelTooLarge, with
+    its stage, degree, dimension and generators set as far as they apply,
+    when a piece through degree k + 2 has more than max_dim elements or
+    the model has more than max_gens generators.
     """
     if max_degree < 2:
         raise BoundTooLow("max_degree must be >= 2")
@@ -161,7 +197,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
     model = build()
     for k in range(2, max_degree + 1):
         ledger[k] = {"surjective": [], "kernel": []}
-        _guard_dims(model.algebra, k + 2, max_dim)
+        _guard_dims(model.algebra, k, max_dim)
         summary = compute(model, k + 1, with_cup=False)
         phi = DgaMorphism(model, target, phi_images)
 
@@ -180,8 +216,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
             model = build()
             summary = compute(model, k + 1, with_cup=False)
             phi = DgaMorphism(model, target, phi_images)
-        if len(gens) > max_gens:
-            raise ModelTooLarge(f"more than {max_gens} generators")
+        _guard_gens(k, len(gens), max_gens)
 
         # (b) generators of degree k killing ker H^{k+1}(phi)
         cols = [target_summary.class_coords(phi(r), degree=k + 1)[1]
@@ -203,8 +238,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
             ledger[k]["kernel"].append(name)
         if new:
             model = build()
-        if len(gens) > max_gens:
-            raise ModelTooLarge(f"more than {max_gens} generators")
+        _guard_gens(k, len(gens), max_gens)
 
     morphism = DgaMorphism(model, target, phi_images)
     return SullivanModel(dga=model, morphism=morphism, target=target,
@@ -375,7 +409,9 @@ def massey_search(obj, summary, cap):
 
     Triples are visited in a fixed order.  The primitive of each
     representative product r*r' (None when it is a nonzero class) is solved
-    once per call.  A defined triple costs its representative and one class
+    once per call and unordered pair: r'*r = (-1)^{pq} r*r', and the solve
+    is linear, so the primitive of r'*r is (-1)^{pq} times that of r*r'.
+    A defined triple costs its representative and one class
     solve; a nonzero class is then tested against the indeterminacy of its
     outer pair (r1, r3).  The witness returned is built by massey.triple.
     """
@@ -386,7 +422,11 @@ def massey_search(obj, summary, cap):
     def primitive(p, i, q, j):
         key = (p, i, q, j)
         if key not in primitives:
-            primitives[key] = summary.is_exact(reps[p][i] * reps[q][j])
+            if (q, j) < (p, i):
+                a = primitive(q, j, p, i)
+                primitives[key] = -a if a is not None and p * q % 2 else a
+            else:
+                primitives[key] = summary.is_exact(reps[p][i] * reps[q][j])
         return primitives[key]
 
     degs = [k for k in range(1, cap + 1) if summary.betti[k] > 0]

@@ -45,6 +45,68 @@ def naive_rref(rows, ncols):
     return [tuple(r) for r in m[:pr]], pivots
 
 
+def list_scan_rref_int(rows, ncols):
+    """_core.rref_int as a scan of row lists: for each column, the first
+    pending row holding it is the pivot, and every pending and pivoted row
+    is visited to clear the column.  Row updates are _core's own."""
+    from cdga._core import _clear, _primitive
+
+    pending = [r for r in rows if r]
+    done = []
+    pivots = []
+    for c in range(ncols):
+        if not pending:
+            break
+        pi = next((i for i, r in enumerate(pending) if c in r), -1)
+        if pi < 0:
+            continue
+        prow = _primitive(pending.pop(pi))
+        pending = [r for r in (_clear(r, prow, c) if c in r else r
+                               for r in pending) if r]
+        done = [_clear(r, prow, c) if c in r else r for r in done]
+        done.append(prow)
+        pivots.append(c)
+    return done, pivots
+
+
+def recursive_degree_basis(degrees, k):
+    """Normal-form monomials of degree k over generators of the given
+    degrees, by a recursion that tries every generator at every level."""
+    order = sorted(range(len(degrees)), key=lambda i: (degrees[i], i))
+    out = []
+
+    def rec(pos, rem, acc):
+        if rem == 0:
+            out.append(tuple(acc))
+            return
+        if pos == len(order):
+            return
+        gi = order[pos]
+        d = degrees[gi]
+        rec(pos + 1, rem, acc)
+        top = min(rem // d, 1) if d % 2 else rem // d
+        for e in range(1, top + 1):
+            acc.append((gi, e))
+            rec(pos + 1, rem - e * d, acc)
+            acc.pop()
+
+    rec(0, k, [])
+    return sorted(out)
+
+
+def naive_morphism_image(f, e):
+    """f(e) for a DgaMorphism f, multiplying the generator images factor by
+    factor for every monomial of e."""
+    out = f.codomain.zero()
+    for mono, coeff in e.terms.items():
+        term = f.codomain.one()
+        for gi, exp in mono:
+            for _ in range(exp):
+                term = term * f.images[gi]
+        out = out + term * Fraction(coeff)
+    return out
+
+
 def naive_d(dga, e):
     """d of a free-DGA element by Leibniz through Element products: for each
     factor g^exp of each monomial, prefix * d(g) * g^(exp-1) * rest."""

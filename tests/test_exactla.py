@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdga import _core, exactla
+from cdga.cohomology import ChainComplex
+from cdga.constructions import CORPUS_NAMES, corpus
 from cdga.errors import DimensionMismatch, NoSolution
 from cdga.exactla import (LinearSolver, Matrix, Subspace, image, kernel,
                           quotient_basis, solve)
 
-from conftest import naive_rref
+from conftest import list_scan_rref_int, naive_rref
 
 
 class TestExamples:
@@ -163,6 +165,43 @@ class TestSparseKernel:
         assert (rational_rref(reduced, pivots, m.cols), pivots) == oracle
         # content normalisation keeps every output row primitive
         assert all(math.gcd(*row.values()) == 1 for row in reduced)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(sparse_matrices(), matrices))
+    def test_matches_list_scan_oracle(self, m):
+        # same pivots and the same primitive rows, signs included, for the
+        # rows, the columns and the [m | I] a LinearSolver eliminates
+        for rows, ncols in _eliminations(m):
+            assert _core.rref_int(rows, ncols) == \
+                list_scan_rref_int(rows, ncols)
+
+    def test_matches_list_scan_oracle_on_corpus_d_matrices(self):
+        entries = [corpus(name) for name in CORPUS_NAMES if name != "s_k"]
+        entries += [corpus("s_k", k=k) for k in range(3, 9)]
+        entries += [corpus("w-torus", rho="flip"),
+                    corpus("aloff-wallach", k=1, l=-1)]
+        checked = 0
+        for entry in entries:
+            # a mapping torus entry is a cohomology summary; its DGA is
+            # the model it was built from
+            obj = entry.metadata.get("formality_model", entry.obj)
+            chain = ChainComplex(obj)
+            for k in range(9):
+                for rows, ncols in _eliminations(chain.d_matrix(k)):
+                    assert _core.rref_int(rows, ncols) == \
+                        list_scan_rref_int(rows, ncols), (entry.name, k)
+                    checked += bool(rows)
+        assert checked > 200
+
+
+def _eliminations(m):
+    """(rows, ncols) of the eliminations kernel, image and LinearSolver
+    run on m."""
+    n = m.cols
+    return [(m._int, n), (m._columns(), m.rows),
+            ([{**a, n + r: m._den} for r, a in enumerate(m._int)],
+             n + m.rows)]
 
 
 class TestProperties:

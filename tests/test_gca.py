@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cdga.errors import MixedAlgebra
 from cdga.gca import Algebra
 
-from conftest import poincare_coefficient
+from conftest import poincare_coefficient, recursive_degree_basis
 
 
 def small_algebra():
@@ -144,3 +144,9 @@ class TestProperties:
         fresh = small_algebra()
         assert ALG.degree_basis(k) == fresh.degree_basis(k)
         assert ALG.degree_basis(k) == sorted(ALG.degree_basis(k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 7), max_size=9), st.integers(0, 16))
+    def test_basis_matches_unpruned_recursion(self, degrees, k):
+        alg = Algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+        assert alg.degree_basis(k) == recursive_degree_basis(degrees, k)

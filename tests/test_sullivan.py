@@ -10,14 +10,15 @@ from cdga.cohomology import compute
 from cdga.constructions import (corpus, lens_bundle_cp2_model, q_model,
                                 s_k_model, x6_model)
 from cdga.dga import DGA, Differential, TabularDGA
-from cdga.errors import (BoundTooLow, NotAChainMap, NotMinimal,
-                         NotSimplyConnected)
-from cdga.gca import Algebra
+from cdga.errors import (BoundTooLow, ModelTooLarge, NotAChainMap,
+                         NotMinimal, NotSimplyConnected)
+from cdga.gca import Algebra, Element
 from cdga.massey import triple
 from cdga.sullivan import (DgaMorphism, formality, formality_shortcut,
                            is_quasi_iso, minimal_model, required_s,
                            massey_search, s_formality_check)
-from conftest import naive_massey_search
+from conftest import (naive_massey_search, naive_morphism_image,
+                      poincare_coefficient)
 
 
 def tabular_cohomology_of(dga, bound):
@@ -89,6 +90,39 @@ class TestMorphism:
         ok, report = is_quasi_iso(f, 6)
         assert ok and all(r["isomorphism"] for r in report)
 
+    def test_quasi_iso_checks_the_summaries_it_is_given(self, cp2, q111):
+        f = DgaMorphism(cp2, cp2, {"a": cp2.gen("a"), "x": cp2.gen("x")})
+        covering = compute(cp2, 6, with_cup=False)
+        assert is_quasi_iso(f, 6, domain_summary=covering,
+                            codomain_summary=covering) == is_quasi_iso(f, 6)
+        short = compute(cp2, 2, with_cup=False)
+        other = compute(q111, 7, with_cup=False)
+        for kw in ({"domain_summary": short}, {"codomain_summary": short},
+                   {"domain_summary": other}, {"codomain_summary": other}):
+            with pytest.raises(BoundTooLow):
+                is_quasi_iso(f, 6, **kw)
+
+    def test_unknown_generator_images_rejected(self, cp2):
+        with pytest.raises(KeyError, match="unknown generators"):
+            DgaMorphism(cp2, cp2, {"a": cp2.gen("a"), "x": cp2.gen("x"),
+                                   "y": cp2.gen("x")})
+
+    @pytest.mark.parametrize("name", ["s_3", "q111", "x6"])
+    def test_images_match_per_factor_evaluation(self, name, q111):
+        target = {"s_3": s_k_model(3)[0], "q111": q111,
+                  "x6": x6_model()}[name]
+        f = minimal_model(target, 5).morphism
+        alg = f.domain.algebra
+        for k in range(8):
+            basis = alg.degree_basis(k)
+            for mono in basis:
+                e = Element(alg, {mono: Fraction(1)})
+                assert f(e) == naive_morphism_image(f, e)
+            mixed = Element(alg, {m: Fraction(i + 1, i % 5 + 1)
+                                  for i, m in enumerate(basis)})
+            assert f(mixed) == naive_morphism_image(f, mixed)
+            assert f(mixed) == naive_morphism_image(f, mixed)   # memo hits
+
 
 class TestMinimalModel:
     def test_cp2_from_its_cohomology(self, cp2):
@@ -145,6 +179,24 @@ class TestMinimalModel:
             minimal_model(cp2, 6, summary=compute(cp2, 6, with_cup=False))
         with pytest.raises(BoundTooLow):
             minimal_model(cp2, 6, summary=compute(q111, 8, with_cup=False))
+
+    def test_model_too_large_names_where_it_stopped(self):
+        s3 = s_k_model(3)[0]
+        with pytest.raises(ModelTooLarge) as info:
+            minimal_model(s3, 7, max_gens=50)
+        exc = info.value
+        assert (exc.stage, exc.generators) == (5, 75)
+        assert str(exc) == "stage 5: 75 generators > max_gens 50"
+        with pytest.raises(ModelTooLarge) as info:
+            minimal_model(s3, 7, max_dim=100)
+        exc = info.value
+        # generators through stage 4: 4, 10 and 16 of degrees 2, 3 and 4
+        dim = poincare_coefficient([2] * 4 + [3] * 10 + [4] * 16, 6)
+        assert (exc.stage, exc.degree, exc.dimension, exc.generators) == \
+            (5, 6, dim, 30)
+        assert str(exc).startswith(
+            f"stage 5: the degree-6 piece has dimension {dim} > max_dim "
+            "100, with 30 generators;")
 
     def test_q111_model_matches_to_degree_five(self, q111):
         model = minimal_model(q111, 5)
@@ -357,28 +409,42 @@ class TestMasseySearch:
     def test_one_witness_and_one_solve_per_pair(self, e, monkeypatch):
         obj = q_model(e)
         summary = compute(obj, 7, with_cup=False)
-        witnesses, solved = [], []
+        witnesses, solved, operands = [], [], []
         exact = summary.is_exact
-        pairs = sum(summary.betti[p] * summary.betti[q]
-                    for p in range(1, 8) for q in range(1, 8 - p))
+        rep_of = {id(r): (k, i) for k, reps in summary.representatives.items()
+                  for i, r in enumerate(reps)}
+        # unordered pairs of representatives with product degree <= 7
+        pairs = (sum(summary.betti[p] * summary.betti[q]
+                     for p in range(1, 8) for q in range(1, 8 - p))
+                 + sum(summary.betti[p] for p in range(1, 4))) // 2
+        mul = Element.__mul__
+
+        def recording_mul(x, y):
+            if id(x) in rep_of and id(y) in rep_of:
+                operands.append((rep_of[id(x)], rep_of[id(y)]))
+            return mul(x, y)
 
         def counting_triple(*args, **kw):
             witnesses.append(args)
             return "witness"
 
         def counting_exact(z):
-            solved.append(z)
+            solved.append(frozenset(operands[-1]))
             return exact(z)
 
+        monkeypatch.setattr(Element, "__mul__", recording_mul)
         monkeypatch.setattr(sullivan, "triple", counting_triple)
         monkeypatch.setattr(summary, "is_exact", counting_exact)
         found = massey_search(obj, summary, 7)
         assert len(witnesses) == (1 if found else 0)
         assert (found is not None) == (e == (1, 1, 1))
         assert found is None or found[1] == "witness"
-        # each ordered pair of representatives is solved for a primitive
-        # at most once
+        # r*r' and r'*r share one solve: each unordered pair of
+        # representatives is solved for a primitive at most once
         assert 0 < len(solved) <= pairs
+        assert len(set(solved)) == len(solved)
+        if e == (0, 0, 0):
+            assert len(solved) == pairs == 62
 
     def test_summary_must_cover_the_cap(self, q111):
         short = compute(q111, 5, with_cup=False)
