@@ -9,8 +9,9 @@ written straight into sparse rows indexed by the next degree's basis; it
 caches nothing beyond the ChainComplex.
 A CohomologySummary adds cocycles, coboundaries, class representatives and
 cups up to a bound.  Class representatives are the echelon coset
-representatives from quotient_basis; named classes of interest are
-recovered through membership tests, not representative equality.
+representatives from quotient_basis, built as elements from the cocycles'
+sparse rows; named classes of interest are recovered through membership
+tests, not representative equality.
 class_coords solves on [representatives | coboundaries], whose columns span
 the cocycles, so its solve fails exactly when the element is not closed.
 """
@@ -72,6 +73,12 @@ class ChainComplex:
         basis = self.basis(k)
         return self._kind(self.algebra, {basis[i]: Fraction(c)
                                          for i, c in enumerate(v) if c})
+
+    def from_row(self, k, row, den):
+        """The element whose coordinates are the {position: int} row / den."""
+        basis = self.basis(k)
+        return self._kind(self.algebra, {basis[i]: Fraction(row[i], den)
+                                         for i in sorted(row)})
 
     def d(self, e):
         return self.dga.d(e)
@@ -149,10 +156,18 @@ class CohomologySummary:
         else:
             b = exactla.image(self.d_matrix(k - 1))
         reps_vecs = exactla.quotient_basis(z, b)
+        # each representative is one of z's RREF rows over its pivot entry,
+        # so it is nonzero at that row's pivot and zero at every other pivot
+        # of z: one walk over z's sparse rows finds the row behind each
+        rows = iter(zip(z._rows, z.pivots))
+        reps = []
+        for v in reps_vecs:
+            row, c = next((row, c) for row, c in rows if v[c])
+            reps.append(self.ctx.from_row(k, row, row[c]))
         self.cocycles[k] = z
         self.coboundaries[k] = b
         self._rep_vectors[k] = reps_vecs
-        self.representatives[k] = [self.ctx.from_coords(k, v) for v in reps_vecs]
+        self.representatives[k] = reps
         self.betti.append(len(reps_vecs))
 
     def _compute_cup(self):
@@ -214,11 +229,18 @@ class CohomologySummary:
 
     def rep_combination(self, k, vec):
         """The element sum_i vec[i] * representative_i in degree k."""
-        out = self.ctx.dga.zero()
+        ctx = self.ctx
+        out = {}
         for c, r in zip(vec, self.representatives[k]):
             if c:
-                out = out + r * Fraction(c)
-        return out
+                c = Fraction(c)
+                for b, x in getattr(r, ctx._coeffs).items():
+                    s = out.get(b, 0) + c * x
+                    if s:
+                        out[b] = s
+                    else:
+                        del out[b]
+        return ctx._kind(ctx.algebra, out)
 
 
 def compute(obj, max_degree, with_cup=True) -> CohomologySummary:

@@ -11,6 +11,7 @@ cohomology algebra (H^*, 0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -169,7 +170,9 @@ class TabularDGA:
     basis: list of (label, degree); exactly one degree-0 label (the unit).
     products: {(label_i, label_j): {label_k: coeff}} for i, j nonunit; pairs
     not listed in either order are zero.  The table is completed by graded
-    commutativity, and products with the unit are implied.
+    commutativity, and products with the unit are implied: an entry with
+    the unit is accepted only if it is the unit law, and ValueError is
+    raised otherwise.
     differential: {label: {label: coeff}} (omitted labels are closed).
     """
 
@@ -194,6 +197,12 @@ class TabularDGA:
             ia, ib = self.index[la], self.index[lb]
             entry = {self.index[lk]: Fraction(c) for lk, c in val.items()
                      if Fraction(c)}
+            if self.unit in (ia, ib):
+                other = ib if ia == self.unit else ia
+                if entry != {other: 1}:
+                    raise ValueError(f"product {la}*{lb} with the unit must "
+                                     f"be {self.labels[other]}")
+                continue
             for k in entry:
                 if self.degrees[k] != self.degrees[ia] + self.degrees[ib]:
                     raise WrongDegree(
@@ -278,6 +287,13 @@ class TabularDGA:
         with a nonzero entry, or a class of d(i) has j as a partner, or a
         class of d(j) has i as one (both sides vanish otherwise, and agree on
         a unit pair whose d(i)*j and i*d(j) vanish).
+
+        Each identity is compared on {index: int} maps: the product table is
+        scaled by D, the lcm of its entries' denominators (so a product with
+        the unit is {j: D}), and the differential by E, the lcm of its
+        entries'.  Associativity then holds at scale D^2, d^2 = 0 at E^2 and
+        Leibniz at D*E; both sides carry the same positive scale, so the
+        integer maps agree exactly when the rational ones do.
         """
         problems = []
         n = len(self.labels)
@@ -288,6 +304,39 @@ class TabularDGA:
                                 f"{self.labels[i]},{self.labels[i]}")
         nonzero = {(i, j): entry for (i, j), entry in self.table.items()
                    if entry and unit not in (i, j)}
+        big_d = math.lcm(*(c.denominator for entry in nonzero.values()
+                           for c in entry.values()))
+        big_e = math.lcm(*(c.denominator for entry in self.diff.values()
+                           for c in entry.values()))
+        table = {key: {k: c.numerator * (big_d // c.denominator)
+                       for k, c in entry.items()}
+                 for key, entry in nonzero.items()}
+        diff = {i: {k: c.numerator * (big_e // c.denominator)
+                    for k, c in entry.items()}
+                for i, entry in self.diff.items()}
+        empty = {}
+
+        def mul(i, j):
+            if i == unit:
+                return {j: big_d}
+            if j == unit:
+                return {i: big_d}
+            return table.get((i, j), empty)
+
+        def d_of(l):
+            return diff.get(l, empty)
+
+        def residual(*parts):
+            """Whether the sum over the parts (s, terms, row) of s * c * row(l),
+            for each (l, c) of terms, is nonzero."""
+            out = {}
+            for s, terms, row in parts:
+                for l, c in terms.items():
+                    c *= s
+                    for k, x in row(l).items():
+                        out[k] = out.get(k, 0) + c * x
+            return any(out.values())
+
         partners = {i: {unit} for i in range(n)}
         partners[unit] = set(range(n))
         for i, j in nonzero:
@@ -301,15 +350,13 @@ class TabularDGA:
             if (unit in (i, k)
                     or degrees[i] + degrees[j] + degrees[k] > self.max_degree):
                 continue
-            left = self._mul_dicts(self.mul_basis(i, j), {k: Fraction(1)})
-            right = self._mul_dicts({i: Fraction(1)}, self.mul_basis(j, k))
-            if left != right:
+            if residual((1, mul(i, j), lambda l: mul(l, k)),
+                        (-1, mul(j, k), lambda l: mul(i, l))):
                 problems.append(
                     "associativity fails at "
                     f"{self.labels[i]},{self.labels[j]},{self.labels[k]}")
         for i in range(n):
-            ddi = self.d(self.d(self.gen(self.labels[i])))
-            if not ddi.is_zero():
+            if residual((1, d_of(i), d_of)):
                 problems.append(f"d^2 nonzero on {self.labels[i]}")
         pairs = sorted({(i, j) for i, image in self.diff.items()
                         for l in image for j in partners[l]}
@@ -317,11 +364,10 @@ class TabularDGA:
                           for l in image for i in partners[l]}
                        | set(nonzero))
         for i, j in pairs:
-            ei, ej = self.gen(self.labels[i]), self.gen(self.labels[j])
-            lhs = self.d(ei * ej)
-            sign = -1 if self.degrees[i] % 2 else 1
-            rhs = self.d(ei) * ej + (ei * self.d(ej)) * Fraction(sign)
-            if lhs != rhs:
+            sign = 1 if degrees[i] % 2 else -1
+            if residual((1, mul(i, j), d_of),
+                        (-1, d_of(i), lambda l: mul(l, j)),
+                        (sign, d_of(j), lambda l: mul(i, l))):
                 problems.append(f"Leibniz fails at "
                                 f"{self.labels[i]},{self.labels[j]}")
         return problems

@@ -256,11 +256,15 @@ def kernel(m: Matrix) -> Subspace:
     """Null space of m, as a subspace of Q^cols."""
     rows, pivots = _rref(m._int, m.cols)
     pivset = set(pivots)
+    hits = {}   # column -> the (row, pivot) pairs whose row holds it
+    for r, pc in zip(rows, pivots):
+        for c in r:
+            hits.setdefault(c, []).append((r, pc))
     vectors = []
     for fc in range(m.cols):
         if fc not in pivset:
             # x_fc = den and x_pc = -den * row[fc] / row[pc] for each pivot row
-            hit = [(r, pc) for r, pc in zip(rows, pivots) if fc in r]
+            hit = hits.get(fc, ())
             den = math.lcm(*(r[pc] for r, pc in hit))
             v = {pc: -r[fc] * den // r[pc] for r, pc in hit}
             v[fc] = den

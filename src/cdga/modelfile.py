@@ -191,12 +191,19 @@ def render_model(obj, metadata=None):
 
 def loads(text):
     """(obj, metadata) from JSON text; accepts a bare model description or a
-    command envelope whose result carries a 'model' field."""
+    command envelope whose result carries a 'model' field.  An error
+    envelope raises ModelSyntaxError naming the upstream error."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(f"invalid JSON: {exc.msg}",
                                line=exc.lineno, column=exc.colno) from None
+    if isinstance(doc, dict) and "schema" in doc and "error" in doc:
+        error = doc["error"]
+        if isinstance(error, dict):
+            error = f"{error.get('kind')}: {error.get('detail')}"
+        raise ModelSyntaxError(f"envelope carries an error, not a model "
+                               f"({error})", field="error")
     if isinstance(doc, dict) and "schema" in doc and "result" in doc:
         result = doc["result"] or {}
         if "model" not in result:

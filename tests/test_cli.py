@@ -279,6 +279,17 @@ class TestBadInput:
         with pytest.raises(ParamOutOfRange):
             constructions.corpus("s_k")
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "-"], ["cohomology", "-"],
+        ["formality", "-", "--dimension", "7", "--cap", "7"]])
+    def test_error_envelope_piped_into_a_file_slot(self, argv):
+        upstream = run_cli(["corpus", "s-k", "--k", "3", "--epsilon", "1/5"])
+        assert error_of(*upstream)["kind"] == "ParamOutOfRange"
+        error = error_of(*run_cli(argv, stdin_text=upstream[1]))
+        assert error["kind"] == "ModelSyntaxError"
+        assert error["location"]["field"] == "error"
+        assert "ParamOutOfRange" in error["detail"]
+
     @pytest.mark.parametrize("degree", ["two", 2.5])
     def test_generator_degree_not_an_integer(self, degree):
         doc = json.dumps({"kind": "free",

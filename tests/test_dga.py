@@ -203,16 +203,42 @@ def perturbed(tab, products, differential):
                       {**old_diff, **differential})
 
 
+def rescaled(tab, scales):
+    """tab on the basis scales[i] * e_i (the unit keeps scale 1): the same
+    algebra, with rational structure constants for rational scales."""
+    lam = [Fraction(1) if i == tab.unit else Fraction(x)
+           for i, x in enumerate(scales)]
+    products = {
+        (tab.labels[i], tab.labels[j]): {
+            tab.labels[k]: c * lam[i] * lam[j] / lam[k]
+            for k, c in entry.items()}
+        for (i, j), entry in tab.table.items() if i <= j}
+    differential = {
+        tab.labels[i]: {tab.labels[k]: c * lam[i] / lam[k]
+                        for k, c in entry.items()}
+        for i, entry in tab.diff.items()}
+    return TabularDGA(list(zip(tab.labels, tab.degrees)), products,
+                      differential)
+
+
+nonzero_scales = st.fractions(-3, 3, max_denominator=7).filter(bool)
+
+
 @st.composite
-def broken_tables(draw, tab):
+def rescaled_tables(draw, tab):
+    return rescaled(tab, draw(st.lists(nonzero_scales, min_size=len(tab.labels),
+                                       max_size=len(tab.labels))))
+
+
+@st.composite
+def broken_tables(draw, tab, coeff=st.integers(-2, 2)):
     """tab with up to three product and two differential entries changed,
-    each to a class of the right degree."""
+    each to coeff times a class of the right degree."""
     n = len(tab.labels)
     nonunit = [i for i in range(n) if i != tab.unit]
     by_degree = {}
     for i, d in enumerate(tab.degrees):
         by_degree.setdefault(d, []).append(i)
-    coeff = st.integers(-2, 2)
     products = {}
     for _ in range(draw(st.integers(0, 3))):
         i, j = sorted(draw(st.tuples(st.sampled_from(nonunit),
@@ -231,6 +257,10 @@ def broken_tables(draw, tab):
             value = {tab.labels[draw(st.sampled_from(targets))]: draw(coeff)}
         differential[tab.labels[i]] = value
     return perturbed(tab, products, differential)
+
+
+UNIT_HITTING_TABLE = TabularDGA([("1", 0), ("w", -1), ("u", 1), ("s", 2)],
+                                {("w", "u"): {"1": 1}}, {"w": {"1": 1}})
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +288,28 @@ class TestSparseValidate:
     def test_broken_tables(self, s3_table, torus_table, data):
         tab = data.draw(st.one_of(broken_tables(s3_table),
                                   broken_tables(torus_table)))
+        assert tab.validate() == naive_tabular_validate(tab)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_rescaled_corpus_models(self, s3_table, torus_table, data):
+        # rational structure constants: the validation scales differ from 1
+        tab = data.draw(st.one_of(rescaled_tables(s3_table),
+                                  rescaled_tables(torus_table)))
+        assert tab.validate() == naive_tabular_validate(tab) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_broken_tables_with_rational_entries(self, s3_table, torus_table,
+                                                 data):
+        # the third table has a product and a differential that hit the
+        # unit, so the unit's scale meets a table entry's in one identity
+        coeff = st.fractions(-2, 2, max_denominator=7)
+        base = data.draw(st.sampled_from([s3_table, torus_table,
+                                          UNIT_HITTING_TABLE]))
+        if data.draw(st.booleans()):
+            base = data.draw(rescaled_tables(base))
+        tab = data.draw(broken_tables(base, coeff))
         assert tab.validate() == naive_tabular_validate(tab)
 
     def test_broken_s3_has_every_kind_of_problem(self, s3_table):
@@ -347,6 +399,21 @@ class TestTabular:
                          {("u", "a"): {"v": 1}}, {"v": {"w": 1}})
         assert tab.validate() == ["Leibniz fails at u,a",
                                   "Leibniz fails at a,u"]
+
+    def test_unit_law_entries_accepted(self):
+        tab = TabularDGA([("1", 0), ("s", 2), ("t", 2)],
+                         {("1", "s"): {"s": 1}, ("t", "1"): {"t": 1},
+                          ("1", "1"): {"1": 1}}, {})
+        assert tab.table == {}
+        assert tab.validate() == []
+
+    @pytest.mark.parametrize("products", [
+        {("1", "s"): {"t": 2}}, {("s", "1"): {"s": 2}}, {("1", "s"): {}},
+        {("1", "s"): {"s": 1, "t": 1}}, {("1", "1"): {}}])
+    def test_unit_products_other_than_the_unit_law_rejected(self, products):
+        # mul_basis uses 1*x = x whatever the table says
+        with pytest.raises(ValueError, match="with the unit"):
+            TabularDGA([("1", 0), ("s", 2), ("t", 2)], products, {})
 
     def test_negative_power_rejected(self):
         tab = self.tab_sphere()

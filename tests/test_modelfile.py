@@ -137,6 +137,17 @@ class TestTabularModels:
         with pytest.raises(D2NonZero):
             parse_model(doc)
 
+    def test_unit_product_other_than_the_unit_law_rejected(self):
+        doc = {
+            "kind": "tabular",
+            "basis": [{"label": "1", "degree": 0},
+                      {"label": "s", "degree": 2},
+                      {"label": "t", "degree": 2}],
+            "products": [{"left": "1", "right": "s", "value": {"t": "2"}}],
+        }
+        with pytest.raises(ModelSyntaxError, match="with the unit"):
+            parse_model(doc)
+
     def test_bad_rational_diagnosed(self):
         doc = {
             "kind": "tabular",
