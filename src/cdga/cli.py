@@ -71,8 +71,7 @@ def _load_model(path):
 
 
 def _parse_in(obj, text):
-    algebra = obj.algebra if isinstance(obj, DGA) else obj
-    return parse_expression(text, algebra)
+    return parse_expression(text, obj.algebra)
 
 
 def _envelope(query, input_text, result, witnesses=None, provenance=None):

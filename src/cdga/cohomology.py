@@ -1,7 +1,8 @@
 """Degree-wise cohomology of a DGA: cocycles, coboundaries, classes, cups.
 
 A ChainComplex exposes a DGA, free or tabular, as finite-dimensional graded
-pieces with a cached differential matrix per degree, and answers every
+pieces with a cached differential matrix per degree; both kinds offer the
+same algebra interface, so it never branches on the kind.  It answers every
 exactness question: it solves d(w) = z on the degree k-1 matrix, built when
 first needed, so the answer does not depend on any summary's degree bound.
 A d-matrix is assembled from the DGA's d_terms on each basis element,
@@ -21,37 +22,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exactla
-from .dga import DGA, TabularDGA, TabElement
+from .dga import DGA, TabularDGA
 from .errors import BoundTooLow, MixedAlgebra, NotACocycle
 from .exactla import Matrix, Subspace
-from .gca import Element
+from .gca import Element, linear_combination
 
 
 class ChainComplex:
     """The graded pieces of a free or tabular DGA, with d per degree.
 
-    Free DGAs are indexed by the monomial basis of each degree, tabular ones
-    by their basis indices; this constructor is the only place the two kinds
-    differ.
+    The pieces are indexed by the algebra's degree_basis: monomials for a
+    free DGA, basis indices for a tabular one.
     """
 
     def __init__(self, obj):
-        if isinstance(obj, DGA):
-            self.algebra, self._kind = obj.algebra, Element
-            self._basis, self._coeffs = obj.algebra.degree_basis, "terms"
-        elif isinstance(obj, TabularDGA):
-            self.algebra, self._kind = obj, TabElement
-            self._basis, self._coeffs = obj.degree_indices, "coeffs"
-        else:
+        if not isinstance(obj, (DGA, TabularDGA)):
             raise TypeError(
                 f"expected DGA or TabularDGA, got {type(obj).__name__}")
         self.dga = obj
+        self.algebra = obj.algebra
         self._index = {}         # k -> {basis key: position}
         self._d_matrix = {}      # k -> Matrix (degree k -> k+1)
         self._exact_solver = {}  # k -> LinearSolver on the degree k-1 d-matrix
 
     def basis(self, k):
-        return self._basis(k) if k >= 0 else []
+        return self.algebra.degree_basis(k) if k >= 0 else []
 
     def dim(self, k):
         return len(self.basis(k))
@@ -65,26 +60,26 @@ class ChainComplex:
     def coords(self, e, k):
         idx = self._positions(k)
         v = [Fraction(0)] * len(idx)
-        for b, c in getattr(e, self._coeffs).items():
+        for b, c in e.terms.items():
             v[idx[b]] = c
         return tuple(v)
 
     def from_coords(self, k, v):
         basis = self.basis(k)
-        return self._kind(self.algebra, {basis[i]: Fraction(c)
-                                         for i, c in enumerate(v) if c})
+        return self.algebra.from_terms({basis[i]: Fraction(c)
+                                        for i, c in enumerate(v) if c})
 
     def from_row(self, k, row, den):
         """The element whose coordinates are the {position: int} row / den."""
         basis = self.basis(k)
-        return self._kind(self.algebra, {basis[i]: Fraction(row[i], den)
-                                         for i in sorted(row)})
+        return self.algebra.from_terms({basis[i]: Fraction(row[i], den)
+                                        for i in sorted(row)})
 
     def d(self, e):
         return self.dga.d(e)
 
     def owns(self, e):
-        return isinstance(e, self._kind) and e.algebra is self.algebra
+        return isinstance(e, Element) and e.algebra is self.algebra
 
     def d_matrix(self, k):
         """Matrix of d from the degree-k piece to the degree-(k+1) piece.
@@ -229,18 +224,8 @@ class CohomologySummary:
 
     def rep_combination(self, k, vec):
         """The element sum_i vec[i] * representative_i in degree k."""
-        ctx = self.ctx
-        out = {}
-        for c, r in zip(vec, self.representatives[k]):
-            if c:
-                c = Fraction(c)
-                for b, x in getattr(r, ctx._coeffs).items():
-                    s = out.get(b, 0) + c * x
-                    if s:
-                        out[b] = s
-                    else:
-                        del out[b]
-        return ctx._kind(ctx.algebra, out)
+        return self.ctx.algebra.from_terms(linear_combination(
+            (c, r.terms) for c, r in zip(vec, self.representatives[k])))
 
 
 def compute(obj, max_degree, with_cup=True) -> CohomologySummary:

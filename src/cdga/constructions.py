@@ -95,7 +95,7 @@ def _tabular_circle_bundle(base: TabularDGA, e):
         # d(y*m) = e*m - y*dm
         dy_m = {}
         em = base.gen(base.labels[i]) * e
-        for k, c in em.coeffs.items():
+        for k, c in em.terms.items():
             dy_m[base.labels[k]] = dy_m.get(base.labels[k], Fraction(0)) + c
         for k, c in base.diff.get(i, {}).items():
             dy_m[ylab(k)] = dy_m.get(ylab(k), Fraction(0)) - c

@@ -6,7 +6,9 @@ generators, which suffices by Leibniz.
 
 TabularDGA is the finite-dimensional counterpart used as a morphism target:
 a basis with a product table and a (possibly zero) differential, e.g. a
-cohomology algebra (H^*, 0).
+cohomology algebra (H^*, 0).  It is its own algebra: it provides the same
+interface as gca.Algebra (degree_basis, from_terms, key_degree, key_str,
+mul_terms), so its elements are gca.Elements keyed by basis index.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import (InhomogeneousDifferential, MixedAlgebra, WrongDegree)
-from .gca import Algebra, Element
+from .gca import Algebra, Element, linear_combination
 
 
 class Differential:
@@ -230,8 +231,23 @@ class TabularDGA:
             if entry:
                 self.diff[i] = entry
 
-    def degree_indices(self, k):
+    @property
+    def algebra(self):
+        """The algebra of this DGA's elements: the table itself."""
+        return self
+
+    def degree_basis(self, k):
         return self._by_degree.get(k, [])
+
+    def key_degree(self, i):
+        return self.degrees[i]
+
+    def key_str(self, i):
+        return self.labels[i]
+
+    def from_terms(self, terms):
+        """The element with this {basis index: nonzero Fraction} map."""
+        return TabElement(self, terms)
 
     def zero(self):
         return TabElement(self, {})
@@ -241,8 +257,6 @@ class TabularDGA:
 
     def gen(self, label):
         return TabElement(self, {self.index[label]: Fraction(1)})
-
-    basis_element = gen
 
     def mul_basis(self, i, j):
         if i == self.unit:
@@ -254,19 +268,12 @@ class TabularDGA:
     def d(self, e):
         if e.algebra is not self:
             raise MixedAlgebra("element belongs to another tabular algebra")
-        return TabElement(self, self.d_terms(e.coeffs))
+        return TabElement(self, self.d_terms(e.terms))
 
-    def d_terms(self, coeffs):
+    def d_terms(self, terms):
         """d of a {basis index: coefficient} map, as such a map."""
-        out = {}
-        for i, c in coeffs.items():
-            for k, dc in self.diff.get(i, {}).items():
-                s = out.get(k, Fraction(0)) + c * dc
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return out
+        return linear_combination((c, self.diff.get(i, {}))
+                                  for i, c in terms.items())
 
     def validate(self):
         """Associativity, graded commutativity, Leibniz, d^2 = 0.
@@ -372,123 +379,16 @@ class TabularDGA:
                                 f"{self.labels[i]},{self.labels[j]}")
         return problems
 
-    def _mul_dicts(self, a, b):
-        out = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for k, ck in self.mul_basis(i, j).items():
-                    s = out.get(k, Fraction(0)) + ca * cb * ck
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return out
+    def mul_terms(self, a, b):
+        """Product of two {basis index: coefficient} maps, as such a map."""
+        return linear_combination((ca * cb, self.mul_basis(i, j))
+                                  for i, ca in a.items() for j, cb in b.items())
 
 
-class TabElement:
-    """A linear combination of tabular basis classes."""
+class TabElement(Element):
+    """An Element of a TabularDGA, keyed by basis index; no arithmetic of
+    its own."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = coeffs
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        degs = {self.algebra.degrees[i] for i in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def is_homogeneous(self):
-        return len({self.algebra.degrees[i] for i in self.coeffs}) <= 1
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise MixedAlgebra("elements belong to different tabular algebras")
-
-    def __add__(self, other):
-        if isinstance(other, Rational):
-            other = self.algebra.one() * other
-        self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i, Fraction(0)) + c
-            if s:
-                out[i] = s
-            elif i in out:
-                del out[i]
-        return TabElement(self.algebra, out)
-
-    def __sub__(self, other):
-        if isinstance(other, Rational):
-            other = self.algebra.one() * other
-        return self + (-other)
-
-    def __neg__(self):
-        return TabElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            c = Fraction(other)
-            if not c:
-                return self.algebra.zero()
-            return TabElement(self.algebra,
-                              {i: k * c for i, k in self.coeffs.items()})
-        self._check(other)
-        alg = self.algebra
-        out = {}
-        for i, ci in self.coeffs.items():
-            for j, cj in other.coeffs.items():
-                for k, ck in alg.mul_basis(i, j).items():
-                    s = out.get(k, Fraction(0)) + ci * cj * ck
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return TabElement(alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = self.algebra.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = self.algebra.one() * other
-        return (isinstance(other, TabElement)
-                and self.algebra is other.algebra
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.coeffs.items())))
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            lab = self.algebra.labels[i]
-            if c == 1:
-                parts.append(lab)
-            elif c == -1:
-                parts.append(f"-{lab}")
-            else:
-                parts.append(f"{c}*{lab}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
+    __mul__ = Element.__mul__   # perfbench/tracing.py wraps it by name

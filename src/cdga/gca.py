@@ -1,16 +1,23 @@
-"""Free graded-commutative algebras over Q.
+"""Free graded-commutative algebras over Q, and the sparse Element class.
 
 Monomials are kept in a normal form: factors sorted by (degree, ordinal),
 odd generators with exponent exactly 1.  Reordering picks up the Koszul sign
 (-1)^{|u||v|} per transposition of odd factors, and the square of an odd
-generator is zero.  Elements are finite maps from normal-form monomials to
-nonzero rational coefficients, so equality is structural.
+generator is zero.
 
-degree_basis enumerates the monomials of one degree by recursion over the
-generators in factor order.  A branch stops as soon as the next generator's
-degree exceeds the degree left to fill, since every later one is at least as
-large, so the enumeration costs about as much as the basis it returns.  Each
-Algebra caches its bases per degree.
+Element is the one element class of both algebra kinds: a finite map from
+basis keys to nonzero rational coefficients, so equality is structural.  Its
+algebra supplies four things: from_terms (wrap such a map), key_degree,
+key_str and mul_terms (the product of two maps).  A free algebra's keys are
+normal-form monomials; a tabular algebra's (dga.TabularDGA) are basis
+indices.  linear_combination sums scaled maps in one pass.
+
+degree_basis enumerates the monomials of one degree depth-first over the
+generators in factor order, on an explicit stack, so no Python recursion
+limit bounds the number of generators.  A branch stops as soon as the next
+generator's degree exceeds the degree left to fill, since every later one is
+at least as large, so the enumeration costs about as much as the basis it
+returns.  Each Algebra caches its bases per degree.
 """
 
 from __future__ import annotations
@@ -57,8 +64,9 @@ class Algebra:
         inner = ",".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"Algebra({inner})"
 
-    def generator(self, name):
-        return self._by_name[name]
+    def from_terms(self, terms):
+        """The element with this {monomial: nonzero Fraction} map."""
+        return Element(self, terms)
 
     def zero(self):
         return Element(self, {})
@@ -80,10 +88,10 @@ class Algebra:
                 clean[tuple(mono)] = clean.get(tuple(mono), Fraction(0)) + c
         return Element(self, {m: c for m, c in clean.items() if c})
 
-    def monomial_degree(self, mono):
+    def key_degree(self, mono):
         return sum(self.generators[g].degree * e for g, e in mono)
 
-    def monomial_str(self, mono):
+    def key_str(self, mono):
         if not mono:
             return "1"
         parts = []
@@ -127,6 +135,22 @@ class Algebra:
         out.extend(m2[j:])
         return tuple(out), sign
 
+    def mul_terms(self, a, b):
+        """Product of two {monomial: coefficient} maps, as such a map."""
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                hit = self.mul_monomials(m1, m2)
+                if hit is None:
+                    continue
+                mono, sign = hit
+                s = out.get(mono, Fraction(0)) + sign * c1 * c2
+                if s:
+                    out[mono] = s
+                elif mono in out:
+                    del out[mono]
+        return out
+
     def degree_basis(self, k):
         """All normal-form monomials of degree k, deterministically ordered."""
         if k < 0:
@@ -137,31 +161,54 @@ class Algebra:
         order = self._sorted
         gens = self.generators
         out = []
-
-        def rec(pos, rem, acc):
+        # (next position in factor order, degree left, monomial so far)
+        stack = [(0, k, ())]
+        while stack:
+            pos, rem, acc = stack.pop()
             if rem == 0:
-                out.append(tuple(acc))
-                return
+                out.append(acc)
+                continue
             # factors come in degree order: once one is too big, all are
             if pos == len(order) or gens[order[pos]].degree > rem:
-                return
+                continue
             gi = order[pos]
             d = gens[gi].degree
-            rec(pos + 1, rem, acc)
+            stack.append((pos + 1, rem, acc))
             top = min(rem // d, 1) if d % 2 else rem // d
             for e in range(1, top + 1):
-                acc.append((gi, e))
-                rec(pos + 1, rem - e * d, acc)
-                acc.pop()
-
-        rec(0, k, [])
+                stack.append((pos + 1, rem - e * d, acc + ((gi, e),)))
         out.sort()
         self._basis_cache[k] = out
         return out
 
 
+def linear_combination(pairs):
+    """The sum of c * terms over the (c, terms) pairs, as one
+    {key: Fraction} map; each c is an int or a Fraction, and zero ones are
+    skipped.
+
+    The keys come in the order a chain of Element additions would leave
+    them in.
+    """
+    out = {}
+    for c, terms in pairs:
+        if c:
+            for m, x in terms.items():
+                s = out.get(m, 0) + c * x
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+    return out
+
+
 class Element:
-    """A Q-linear combination of normal-form monomials."""
+    """A Q-linear combination of the basis keys of one algebra.
+
+    terms maps each key to its nonzero Fraction coefficient.  The algebra
+    supplies from_terms, key_degree, key_str and mul_terms; all else is
+    shared.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -173,8 +220,8 @@ class Element:
         return not self.terms
 
     def degree(self):
-        """Common degree of all monomials; None for zero, raises if mixed."""
-        degs = {self.algebra.monomial_degree(m) for m in self.terms}
+        """Common degree of all terms; None for zero, raises if mixed."""
+        degs = {self.algebra.key_degree(m) for m in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -182,8 +229,7 @@ class Element:
         return degs.pop()
 
     def is_homogeneous(self):
-        degs = {self.algebra.monomial_degree(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({self.algebra.key_degree(m) for m in self.terms}) <= 1
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -200,37 +246,24 @@ class Element:
                 terms[m] = s
             elif m in terms:
                 del terms[m]
-        return Element(self.algebra, terms)
+        return self.algebra.from_terms(terms)
 
     def __sub__(self, other):
-        if isinstance(other, Rational):
-            other = self.algebra.one() * other
         return self + (-other)
 
     def __neg__(self):
-        return Element(self.algebra, {m: -c for m, c in self.terms.items()})
+        return self.algebra.from_terms({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Rational):
             c = Fraction(other)
             if not c:
                 return self.algebra.zero()
-            return Element(self.algebra, {m: k * c for m, k in self.terms.items()})
+            return self.algebra.from_terms(
+                {m: k * c for m, k in self.terms.items()})
         self._check(other)
-        alg = self.algebra
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                hit = alg.mul_monomials(m1, m2)
-                if hit is None:
-                    continue
-                mono, sign = hit
-                s = terms.get(mono, Fraction(0)) + sign * c1 * c2
-                if s:
-                    terms[mono] = s
-                elif mono in terms:
-                    del terms[mono]
-        return Element(alg, terms)
+        return self.algebra.from_terms(
+            self.algebra.mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, Rational):
@@ -261,8 +294,10 @@ class Element:
         parts = []
         for m in sorted(self.terms):
             c = self.terms[m]
-            ms = self.algebra.monomial_str(m)
-            if ms == "1":
+            ms = self.algebra.key_str(m)
+            if m == ():
+                # the free unit prints as its coefficient; a tabular unit
+                # is a basis label like any other
                 parts.append(str(c))
             elif c == 1:
                 parts.append(ms)
@@ -270,7 +305,6 @@ class Element:
                 parts.append(f"-{ms}")
             else:
                 parts.append(f"{c}*{ms}")
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__

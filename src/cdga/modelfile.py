@@ -86,9 +86,10 @@ def _parse_free(doc):
             field="parameters")
     images = {}
     diff_doc = doc.get("differential") or {}
+    degrees = {g.name: g.degree for g in alg.generators}
     for name, text in diff_doc.items():
         field = f"differential.{name}"
-        if name not in {g.name for g in alg.generators}:
+        if name not in degrees:
             raise ModelSyntaxError(f"differential for unknown generator "
                                    f"{name!r}", field=field)
         e = parse_expression(str(text), alg, params, field=field)
@@ -96,7 +97,7 @@ def _parse_free(doc):
             raise InhomogeneousDifferential(
                 f"d({name}) mixes degrees ({field})")
         deg = e.degree()
-        expected = alg.generator(name).degree + 1
+        expected = degrees[name] + 1
         if deg is not None and deg != expected:
             raise WrongDegree(
                 f"d({name}) has degree {deg}, expected {expected} ({field})")

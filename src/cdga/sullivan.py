@@ -23,7 +23,7 @@ from .dga import DGA, Differential
 from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
                      NotSimplyConnected)
 from .exactla import Matrix, Subspace
-from .gca import Algebra, Element
+from .gca import Algebra, Element, linear_combination
 from .massey import _indeterminacy, _representative, triple
 
 DEFAULT_DIM_BUDGET = 6000
@@ -66,10 +66,8 @@ class DgaMorphism:
         return img
 
     def __call__(self, e: Element):
-        out = self.codomain.zero()
-        for mono, coeff in e.terms.items():
-            out = out + self._image(mono) * Fraction(coeff)
-        return out
+        return self.codomain.algebra.from_terms(linear_combination(
+            (c, self._image(mono).terms) for mono, c in e.terms.items()))
 
     def chain_map_failures(self):
         """Generators on which phi(d g) != d(phi g)."""
@@ -219,13 +217,16 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         _guard_gens(k, len(gens), max_gens)
 
         # (b) generators of degree k killing ker H^{k+1}(phi)
+        reps = summary.representatives[k + 1]
         cols = [target_summary.class_coords(phi(r), degree=k + 1)[1]
-                for r in summary.representatives[k + 1]]
+                for r in reps]
         m = Matrix.from_columns(cols, target_summary.betti[k + 1])
         kernel_classes = exactla.kernel(m)
         new = []
-        for w in kernel_classes.basis:
-            z = summary.rep_combination(k + 1, w)
+        # each kernel class is a sparse RREF row over its pivot entry
+        for row, p in zip(kernel_classes._rows, kernel_classes.pivots):
+            z = model.algebra.from_terms(linear_combination(
+                (Fraction(row[i], row[p]), reps[i].terms) for i in sorted(row)))
             primitive = target_summary.is_exact(phi(z))
             if primitive is None:
                 raise AssertionError("kernel class image not exact in target")
@@ -341,10 +342,8 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
         splitting[i] = {"C": c_space.dim, "N": len(n_vecs)}
 
         def lin_comb(vec):
-            out = alg.zero()
-            for coeff, g in zip(vec, vi):
-                out = out + alg.gen(g.name) * Fraction(coeff)
-            return out
+            return alg.from_terms(linear_combination(
+                (c, alg.gen(g.name).terms) for c, g in zip(vec, vi)))
 
         for v in c_space.basis:
             pseudo.append((i, "C", lin_comb(v)))
@@ -372,9 +371,8 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
         dmat = Matrix.from_columns(cols, ctx.dim(m_deg + 1))
         closed = exactla.kernel(dmat)
         for w in closed.basis:
-            z = alg.zero()
-            for coeff, e in zip(w, ideal_elems):
-                z = z + e * Fraction(coeff)
+            z = alg.from_terms(linear_combination(
+                (c, e.terms) for c, e in zip(w, ideal_elems)))
             if z.is_zero():
                 continue
             image = z if morphism is None else morphism(z)

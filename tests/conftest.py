@@ -141,8 +141,8 @@ def naive_tabular_validate(tab):
                 if (tab.degrees[i] + tab.degrees[j] + tab.degrees[k]
                         > tab.max_degree):
                     continue
-                left = tab._mul_dicts(tab.mul_basis(i, j), {k: Fraction(1)})
-                right = tab._mul_dicts({i: Fraction(1)}, tab.mul_basis(j, k))
+                left = tab.mul_terms(tab.mul_basis(i, j), {k: Fraction(1)})
+                right = tab.mul_terms({i: Fraction(1)}, tab.mul_basis(j, k))
                 if left != right:
                     problems.append(
                         "associativity fails at "

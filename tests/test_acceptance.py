@@ -221,7 +221,7 @@ def test_criterion_8c_gysin_oracle():
                    for _ in range(rng.randrange(1, 4))]
         base = sphere_product_tabular(degrees, 8)
         e = base.zero()
-        for i in base.degree_indices(2):
+        for i in base.degree_basis(2):
             e = e + base.gen(base.labels[i]) * Fraction(rng.randrange(-3, 4))
         total = circle_bundle_model(base, e)
         expect = gysin_betti(compute(base, 8, with_cup=False), e, 8)

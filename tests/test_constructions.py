@@ -67,7 +67,7 @@ class TestGysinOracle:
             degrees = [rng.choice([2, 2, 3, 4, 5]) for _ in range(nf)]
             base = sphere_product_tabular(degrees, 8)
             two_classes = [base.gen(base.labels[i])
-                           for i in base.degree_indices(2)]
+                           for i in base.degree_basis(2)]
             e = base.zero()
             for cls in two_classes:
                 e = e + cls * Fraction(rng.randrange(-3, 4))

@@ -40,9 +40,9 @@ class TestExamples:
     def test_degree_basis_lambda_a2_x5(self):
         alg = Algebra([("a", 2), ("x", 5)])
         a, x = alg.gen("a"), alg.gen("x")
-        assert [alg.monomial_str(m) for m in alg.degree_basis(4)] == ["a^2"]
-        assert [alg.monomial_str(m) for m in alg.degree_basis(7)] == ["a*x"]
-        assert [alg.monomial_str(m) for m in alg.degree_basis(0)] == ["1"]
+        assert [alg.key_str(m) for m in alg.degree_basis(4)] == ["a^2"]
+        assert [alg.key_str(m) for m in alg.degree_basis(7)] == ["a*x"]
+        assert [alg.key_str(m) for m in alg.degree_basis(0)] == ["1"]
         assert alg.degree_basis(1) == []
 
     def test_normal_form_sorted_by_degree_then_ordinal(self):
@@ -150,3 +150,15 @@ class TestProperties:
     def test_basis_matches_unpruned_recursion(self, degrees, k):
         alg = Algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
         assert alg.degree_basis(k) == recursive_degree_basis(degrees, k)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_basis_on_many_generators(self, k):
+        # more generators of degree <= k than the default recursion limit;
+        # degrees interleaved so that factor order differs from ordinal order
+        degrees = [2 if i % 300 == 0 else 1 if i % 500 == 1 else 3
+                   for i in range(1600)]
+        alg = Algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+        basis = alg.degree_basis(k)
+        assert len(basis) == poincare_coefficient(degrees, k)
+        assert basis == sorted(set(basis))
+        assert all(alg.key_degree(m) == k for m in basis)
