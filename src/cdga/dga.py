@@ -69,12 +69,6 @@ class DGA:
         self.algebra = algebra
         self.differential = differential
 
-    @classmethod
-    def build(cls, generators, images_exprs):
-        """DGA from (name, degree) pairs and a {name: Element} image map."""
-        alg = Algebra(generators)
-        return cls(alg, Differential(alg, images_exprs))
-
     def d(self, e: Element) -> Element:
         """Leibniz extension of the generator images."""
         if e.algebra is not self.algebra:
@@ -129,17 +123,14 @@ class DGA:
                 prefix_deg += gens[gi].degree * exp
         return out
 
-    def validate(self, max_degree=None) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Check d о d = 0 on every generator.
 
         Homogeneity needs no check here: Differential rejects mixed images.
         """
         report = ValidationReport()
         for g in self.algebra.generators:
-            img = self.differential.of_generator(g.ordinal)
-            if max_degree is not None and g.degree + 2 > max_degree:
-                continue
-            dd = self.d(img)
+            dd = self.d(self.differential.of_generator(g.ordinal))
             if not dd.is_zero():
                 report.d2_failures.append((g.name, dd))
         return report

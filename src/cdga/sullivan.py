@@ -3,12 +3,17 @@
 Minimal models are built stage by stage for targets with H^0 = Q, H^1 = 0:
 at degree k, closed generators are added to surject onto H^k of the target,
 then generators of degree k whose differentials kill the kernel of
-H^{k+1}(model) -> H^{k+1}(target).
+H^{k+1}(model) -> H^{k+1}(target).  Each stage computes the model's
+cohomology once, before (a): every generator has degree >= 2, so no
+degree-(k+1) monomial holds a closed generator of degree k, and (a) leaves
+H^{k+1}, its representatives and their images as they were.
 
 The s-formality check uses the canonical splitting C^i = ker(d|V^i) with
-the echelon complement as N^i.  The definition quantifies existentially
-over splittings, so a failed check is reported Inconclusive, never
-NonFormal; NonFormal verdicts come from non-vanishing Massey products.
+the echelon complement as N^i.  Its ideal elements are the images of
+monomials in a free algebra on the C and N basis vectors.  The definition
+quantifies existentially over splittings, so a failed check is reported
+Inconclusive, never NonFormal; NonFormal verdicts come from non-vanishing
+Massey products.
 """
 
 from __future__ import annotations
@@ -91,11 +96,11 @@ def is_quasi_iso(f: DgaMorphism, max_degree, domain_summary=None,
     f.check_chain_map()
     ds, cs = domain_summary, codomain_summary
     if ds is None:
-        ds = compute(f.domain, max_degree + 1, with_cup=False)
+        ds = compute(f.domain, max_degree, with_cup=False)
     else:
         _require_cover(ds, f.domain, max_degree)
     if cs is None:
-        cs = compute(f.codomain, max_degree + 1, with_cup=False)
+        cs = compute(f.codomain, max_degree, with_cup=False)
     else:
         _require_cover(cs, f.codomain, max_degree)
     report = []
@@ -210,13 +215,10 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
             gens.append((name, k))
             phi_images[name] = target_summary.rep_combination(k, v)
             ledger[k]["surjective"].append(name)
-        if ledger[k]["surjective"]:
-            model = build()
-            summary = compute(model, k + 1, with_cup=False)
-            phi = DgaMorphism(model, target, phi_images)
         _guard_gens(k, len(gens), max_gens)
 
-        # (b) generators of degree k killing ker H^{k+1}(phi)
+        # (b) generators of degree k killing ker H^{k+1}(phi); (a) left
+        # H^{k+1} as it was, so summary and phi still serve
         reps = summary.representatives[k + 1]
         cols = [target_summary.class_coords(phi(r), degree=k + 1)[1]
                 for r in reps]
@@ -237,7 +239,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
             d_images[name] = z  # re-transplanted on the next build()
             phi_images[name] = primitive
             ledger[k]["kernel"].append(name)
-        if new:
+        if ledger[k]["surjective"] or new:
             model = build()
         _guard_gens(k, len(gens), max_gens)
 
@@ -277,32 +279,6 @@ def formality_shortcut(b1, b2, dim):
     return None
 
 
-def _pseudo_monomials(pseudo, cap):
-    """Monomials over (degree, tag, index) pseudo-generators up to degree cap.
-
-    Yields tuples of ((pseudo index, exponent), ...) grouped by total degree.
-    """
-    by_degree = {}
-
-    def rec(pos, deg, acc):
-        if deg > cap:
-            return
-        if pos == len(pseudo):
-            if acc:
-                by_degree.setdefault(deg, []).append(tuple(acc))
-            return
-        d = pseudo[pos][0]
-        rec(pos + 1, deg, acc)
-        top = 1 if d % 2 else (cap - deg) // d
-        for e in range(1, top + 1):
-            acc.append((pos, e))
-            rec(pos + 1, deg + e * d, acc)
-            acc.pop()
-
-    rec(0, 0, [])
-    return by_degree
-
-
 def s_formality_check(model, s, degree_cap, formal_dimension=None,
                       max_dim=DEFAULT_DIM_BUDGET) -> FormalityVerdict:
     """s-formality of a minimal model via the canonical C/N splitting.
@@ -326,9 +302,12 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
     ctx = ChainComplex(dga)
     exact_in = ctx if morphism is None else model.target_summary.ctx
 
-    # canonical splitting of V^i, i <= s
+    # canonical splitting of V^i, i <= s: one pseudo-generator per C or N
+    # basis vector, in degree order with C before N
     splitting = {}
-    pseudo = []   # (degree, "C"/"N", element)
+    pseudo = []          # (name, degree)
+    images = {}          # name -> element of the model
+    n_parts = set()      # ordinals of the N pseudo-generators
     for i in range(1, s + 1):
         vi = [g for g in alg.generators if g.degree == i]
         if not vi:
@@ -340,33 +319,41 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
         full = Subspace(len(vi), Matrix.identity(len(vi)).data)
         n_vecs = exactla.quotient_basis(full, c_space)
         splitting[i] = {"C": c_space.dim, "N": len(n_vecs)}
+        for tag, vecs in (("C", c_space.basis), ("N", n_vecs)):
+            for v in vecs:
+                if tag == "N":
+                    n_parts.add(len(pseudo))
+                name = f"{tag}{len(pseudo)}"
+                pseudo.append((name, i))
+                images[name] = alg.from_terms(linear_combination(
+                    (c, alg.gen(g.name).terms) for c, g in zip(v, vi)))
+    palg = Algebra(pseudo)
+    # an algebra morphism only: its memoised monomial images are the products
+    products = DgaMorphism(DGA(palg, Differential(palg, {})), dga, images)
 
-        def lin_comb(vec):
-            return alg.from_terms(linear_combination(
-                (c, alg.gen(g.name).terms) for c, g in zip(vec, vi)))
+    def exponents(mono):
+        out = [0] * len(pseudo)
+        for j, e in mono:
+            out[j] = e
+        return out
 
-        for v in c_space.basis:
-            pseudo.append((i, "C", lin_comb(v)))
-        for v in n_vecs:
-            pseudo.append((i, "N", lin_comb(v)))
-
-    # closed elements of the ideal generated by the N parts, degree <= cap
-    by_degree = _pseudo_monomials([(p[0],) for p in pseudo], degree_cap)
-    for m_deg in sorted(by_degree):
+    # closed elements of the ideal generated by the N parts, degree <= cap,
+    # from the pseudo monomials in exponent-vector order
+    for m_deg in range(1, degree_cap + 1):
         ideal_elems = []
-        for mono in by_degree[m_deg]:
-            if not any(pseudo[pos][1] == "N" for pos, _ in mono):
-                continue
-            e = alg.one()
-            for pos, exp in mono:
-                for _ in range(exp):
-                    e = e * pseudo[pos][2]
-            if not e.is_zero():
-                ideal_elems.append(e)
+        for mono in sorted(palg.degree_basis(m_deg), key=exponents):
+            if any(j in n_parts for j, _ in mono):
+                e = products._image(mono)
+                if not e.is_zero():
+                    ideal_elems.append(e)
         if not ideal_elems:
             continue
-        if ctx.dim(m_deg + 1) > max_dim or ctx.dim(m_deg) > max_dim:
-            raise ModelTooLarge(f"graded piece beyond {max_dim} dimensions")
+        for k in (m_deg, m_deg + 1):
+            if ctx.dim(k) > max_dim:
+                raise ModelTooLarge(
+                    f"s-formality: the degree-{k} piece has dimension "
+                    f"{ctx.dim(k)} > max_dim {max_dim}", degree=k,
+                    dimension=ctx.dim(k))
         cols = [ctx.coords(dga.d(e), m_deg + 1) for e in ideal_elems]
         dmat = Matrix.from_columns(cols, ctx.dim(m_deg + 1))
         closed = exactla.kernel(dmat)

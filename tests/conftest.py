@@ -126,6 +126,64 @@ def naive_d(dga, e):
     return out
 
 
+def recomputing_minimal_model(target, max_degree):
+    """sullivan.minimal_model without budgets, in its earlier form: after
+    the closed generators of step (a) the model is rebuilt and its
+    cohomology recomputed before step (b) reads H^{k+1}, and each kernel
+    class is built from the dense kernel basis.  Returns the model DGA, the
+    stage ledger and the {generator name: image in target} map."""
+    from cdga import exactla
+    from cdga.cohomology import compute
+    from cdga.exactla import Matrix, Subspace
+    from cdga.gca import linear_combination
+    from cdga.sullivan import DgaMorphism
+
+    ts = compute(target, max_degree + 1, with_cup=False)
+    gens, d_images, phi_images, ledger = [], {}, {}, {}
+
+    def build():
+        alg = Algebra(gens)
+        imgs = {name: Element(alg, dict(e.terms))
+                for name, e in d_images.items()}
+        return DGA(alg, Differential(alg, imgs))
+
+    model = build()
+    for k in range(2, max_degree + 1):
+        ledger[k] = {"surjective": [], "kernel": []}
+        summary = compute(model, k + 1, with_cup=False)
+        phi = DgaMorphism(model, target, phi_images)
+        img = Subspace(ts.betti[k], [
+            ts.class_coords(phi(r), degree=k)[1]
+            for r in summary.representatives[k]])
+        full = Subspace(ts.betti[k], Matrix.identity(ts.betti[k]).data)
+        for n, v in enumerate(exactla.quotient_basis(full, img)):
+            name = f"w{k}_{n}"
+            gens.append((name, k))
+            phi_images[name] = ts.rep_combination(k, v)
+            ledger[k]["surjective"].append(name)
+        if ledger[k]["surjective"]:
+            model = build()
+            summary = compute(model, k + 1, with_cup=False)
+            phi = DgaMorphism(model, target, phi_images)
+        reps = summary.representatives[k + 1]
+        m = Matrix.from_columns(
+            [ts.class_coords(phi(r), degree=k + 1)[1] for r in reps],
+            ts.betti[k + 1])
+        new = []
+        for n, vec in enumerate(exactla.kernel(m).basis):
+            z = model.algebra.from_terms(linear_combination(
+                (c, r.terms) for c, r in zip(vec, reps)))
+            new.append((f"v{k}_{n}", z, ts.is_exact(phi(z))))
+        for name, z, primitive in new:
+            gens.append((name, k))
+            d_images[name] = z
+            phi_images[name] = primitive
+            ledger[k]["kernel"].append(name)
+        if new:
+            model = build()
+    return model, ledger, phi_images
+
+
 def naive_tabular_validate(tab):
     """TabularDGA.validate's problem list from full sweeps: every triple
     for associativity, every pair for Leibniz."""

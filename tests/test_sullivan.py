@@ -6,19 +6,20 @@ from fractions import Fraction
 import pytest
 
 from cdga import sullivan
-from cdga.cohomology import compute
-from cdga.constructions import (corpus, lens_bundle_cp2_model, q_model,
-                                s_k_model, x6_model)
+from cdga.cohomology import ChainComplex, compute
+from cdga.constructions import (corpus, cp2_model, lens_bundle_cp2_model,
+                                q_model, s4_model, s_k_model, x6_model)
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import (BoundTooLow, ModelTooLarge, NotAChainMap,
                          NotMinimal, NotSimplyConnected)
 from cdga.gca import Algebra, Element
 from cdga.massey import triple
+from cdga.modelfile import render_model
 from cdga.sullivan import (DgaMorphism, formality, formality_shortcut,
                            is_quasi_iso, minimal_model, required_s,
                            massey_search, s_formality_check)
 from conftest import (naive_massey_search, naive_morphism_image,
-                      poincare_coefficient)
+                      poincare_coefficient, recomputing_minimal_model)
 
 
 def tabular_cohomology_of(dga, bound):
@@ -198,6 +199,40 @@ class TestMinimalModel:
             f"stage 5: the degree-6 piece has dimension {dim} > max_dim "
             "100, with 30 generators;")
 
+    def test_one_model_summary_per_stage(self, q111, monkeypatch):
+        seen = []
+
+        def counting(obj, max_degree, *args, **kw):
+            seen.append((obj, max_degree))
+            return compute(obj, max_degree, *args, **kw)
+
+        monkeypatch.setattr(sullivan, "compute", counting)
+        model = minimal_model(q111, 5)
+        # stage 2 adds closed generators and does not recompute after them
+        assert model.stage_ledger[2]["surjective"]
+        assert [m for obj, m in seen if obj is not q111] == [3, 4, 5, 6]
+        seen.clear()
+        assert is_quasi_iso(model.morphism, 5)[0]
+        assert [m for _, m in seen] == [5, 5]
+
+    @pytest.mark.parametrize("name, degree", [
+        ("cp2", 6), ("s4", 8), ("lens2", 7), ("q111", 5), ("q100", 5),
+        ("x6", 5), ("s_3", 6), ("s_4", 5)])
+    def test_matches_the_recomputing_loop(self, name, degree):
+        target = {"cp2": cp2_model, "s4": s4_model,
+                  "lens2": lambda: lens_bundle_cp2_model(2),
+                  "q111": lambda: q_model((1, 1, 1)),
+                  "q100": lambda: q_model((1, 0, 0)), "x6": x6_model,
+                  "s_3": lambda: s_k_model(3)[0],
+                  "s_4": lambda: s_k_model(4)[0]}[name]()
+        model = minimal_model(target, degree)
+        dga, ledger, images = recomputing_minimal_model(target, degree)
+        assert render_model(model.dga) == render_model(dga)
+        assert model.stage_ledger == ledger
+        assert {g.name: str(model.morphism.images[g.ordinal])
+                for g in model.dga.algebra.generators} == \
+            {name: str(e) for name, e in images.items()}
+
     def test_q111_model_matches_to_degree_five(self, q111):
         model = minimal_model(q111, 5)
         ok, _ = is_quasi_iso(model.morphism, 5)
@@ -253,6 +288,35 @@ class TestSFormality:
                                 formal_dimension=6)
         assert (bare.status, bare.s_formal, bare.splitting) == \
             (via.status, via.s_formal, via.splitting)
+
+    def test_witness_of_q111(self, q111):
+        verdict = s_formality_check(minimal_model(q111, 3), 3, 7,
+                                    formal_dimension=7)
+        assert verdict.status == "Inconclusive"
+        assert verdict.witness == {"kind": "non_exact_ideal_element",
+                                   "degree": 5,
+                                   "element": "-w2_0*v3_0 + w2_1*v3_1"}
+
+    def test_witness_of_a_bare_minimal_dga(self):
+        # Lambda(a, b, x, y, z), dx = a^2, dy = a*b: C^3 = <z>, N^3 = <x, y>
+        alg = Algebra([("a", 2), ("b", 2), ("x", 3), ("y", 3), ("z", 3)])
+        a, b = alg.gen("a"), alg.gen("b")
+        dga = DGA(alg, Differential(alg, {"x": a * a, "y": a * b}))
+        verdict = s_formality_check(dga, 3, 7)
+        assert verdict.status == "Inconclusive"
+        assert verdict.splitting[3] == {"C": 1, "N": 2}
+        assert verdict.witness == {"kind": "non_exact_ideal_element",
+                                   "degree": 5, "element": "-a*y + b*x"}
+
+    def test_model_too_large_names_the_piece(self, q111):
+        model = minimal_model(q111, 3)
+        with pytest.raises(ModelTooLarge) as info:
+            s_formality_check(model, 3, 7, max_dim=5)
+        exc = info.value
+        dim = ChainComplex(model.dga).dim(exc.degree)
+        assert exc.dimension == dim > 5
+        assert str(exc) == (f"s-formality: the degree-{exc.degree} piece "
+                            f"has dimension {dim} > max_dim 5")
 
     def test_splitting_invariant_under_generator_order(self):
         a1 = Algebra([("a", 1), ("b", 2), ("x", 3)])
