@@ -16,6 +16,7 @@ CDGA_MAX_DEGREE_DEFAULT overrides the default degree bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -242,17 +243,35 @@ def _build_automorphism(summary, doc):
                                    field=field)
         matrices[r] = Matrix([[modelfile.parse_rational(c, field) for c in row]
                               for row in rows], cols=summary.betti[r])
-    if kind == "full":
-        return constructions.CohomologyAutomorphism(summary, matrices)
+    if kind not in ("full", "partial"):
+        raise ModelSyntaxError(f"unknown automorphism kind {kind!r}",
+                               field="kind")
     if kind == "partial":
         if "top_degree" not in doc:
             raise ModelSyntaxError("a partial automorphism needs top_degree",
                                    field="top_degree")
-        return constructions.CohomologyAutomorphism.from_partial(
-            summary, matrices,
-            top_degree=modelfile.parse_integer(doc["top_degree"], "top_degree"),
-            top_sign=modelfile.parse_integer(doc.get("top_sign", 1), "top_sign"))
-    raise ModelSyntaxError(f"unknown automorphism kind {kind!r}", field="kind")
+        top = modelfile.parse_integer(doc["top_degree"], "top_degree")
+        if not (0 <= top <= summary.max_degree and summary.betti[top] == 1):
+            raise ModelSyntaxError(
+                f"top degree {top} needs a one-dimensional H^{top} within "
+                f"degrees 0..{summary.max_degree}", field="top_degree")
+    try:
+        if kind == "full":
+            rho = constructions.CohomologyAutomorphism(summary, matrices)
+        else:
+            rho = constructions.CohomologyAutomorphism.from_partial(
+                summary, matrices, top_degree=top,
+                top_sign=modelfile.parse_integer(doc.get("top_sign", 1),
+                                                 "top_sign"))
+    except ValueError as exc:   # a singular matrix
+        raise ModelSyntaxError(str(exc), field="matrices") from None
+    # the matrices come from outside, so they may not respect cup products
+    bad = rho.cup_compatibility_failures()
+    if bad:
+        raise ModelSyntaxError(
+            "the automorphism does not respect cup products of the "
+            f"representatives (p, i, q, j) in {bad}", field="matrices")
+    return rho
 
 
 def cmd_corpus(args):
@@ -296,6 +315,7 @@ def cmd_corpus(args):
 
 # -- dispatch --------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="cdga",
@@ -362,8 +382,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is built once per process; parse_args returns a fresh
+    # Namespace on every call
+    args = build_parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
     except CdgaError as exc:

@@ -5,16 +5,16 @@ pieces with a cached differential matrix per degree; both kinds offer the
 same algebra interface, so it never branches on the kind.  It answers every
 exactness question: it solves d(w) = z on the degree k-1 matrix, built when
 first needed, so the answer does not depend on any summary's degree bound.
-A d-matrix is assembled from the DGA's d_terms on each basis element,
-written straight into sparse rows indexed by the next degree's basis; it
-caches nothing beyond the ChainComplex.
+ChainComplex.columns writes degree-k term maps as sparse matrix columns; a
+d-matrix is the columns of d on each basis element.
 A CohomologySummary adds cocycles, coboundaries, class representatives and
 cups up to a bound.  Class representatives are the echelon coset
-representatives from quotient_basis, built as elements from the cocycles'
-sparse rows; named classes of interest are recovered through membership
-tests, not representative equality.
-class_coords solves on [representatives | coboundaries], whose columns span
-the cocycles, so its solve fails exactly when the element is not closed.
+representatives: the cocycles' sparse RREF rows whose indices quotient_basis
+returns, each over its pivot entry; named classes of interest are recovered
+through membership tests, not representative equality.
+class_coords solves on the integer columns [representative rows |
+coboundary rows], which span the cocycles, so its solve fails exactly when
+the element is not closed.
 """
 
 from __future__ import annotations
@@ -81,21 +81,21 @@ class ChainComplex:
     def owns(self, e):
         return isinstance(e, Element) and e.algebra is self.algebra
 
-    def d_matrix(self, k):
-        """Matrix of d from the degree-k piece to the degree-(k+1) piece.
+    def columns(self, k, term_maps):
+        """The matrix over the degree-k basis whose column j is the
+        {basis key: coefficient} map term_maps[j] of a degree-k element."""
+        idx = self._positions(k)
+        return Matrix._of_columns(
+            [{idx[t]: c for t, c in terms.items()} for terms in term_maps],
+            len(idx))
 
-        d of each basis element is written straight into sparse rows indexed
-        by the degree-(k+1) basis.
-        """
+    def d_matrix(self, k):
+        """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
         m = self._d_matrix.get(k)
         if m is None:
-            idx = self._positions(k + 1)
-            rows = [{} for _ in idx]
             d_terms = self.dga.d_terms
-            for j, b in enumerate(self.basis(k)):
-                for t, c in d_terms({b: 1}).items():
-                    rows[idx[t]][j] = c
-            m = self._d_matrix[k] = Matrix._of_sparse(rows, self.dim(k))
+            m = self._d_matrix[k] = self.columns(
+                k + 1, [d_terms({b: 1}) for b in self.basis(k)])
         return m
 
     def is_exact(self, z):
@@ -130,7 +130,7 @@ class CohomologySummary:
         self.cocycles = {}       # k -> Subspace of the degree-k piece
         self.coboundaries = {}   # k -> Subspace
         self.representatives = {}  # k -> list of elements
-        self._rep_vectors = {}   # k -> list of coordinate vectors
+        self._rep_rows = {}      # k -> (cocycle row, its pivot entry) per rep
         self._class_solver = {}  # k -> LinearSolver on [reps | coboundaries]
         self.betti = []
         for k in range(max_degree + 1):
@@ -150,20 +150,13 @@ class CohomologySummary:
             b = Subspace(self.ctx.dim(0))
         else:
             b = exactla.image(self.d_matrix(k - 1))
-        reps_vecs = exactla.quotient_basis(z, b)
-        # each representative is one of z's RREF rows over its pivot entry,
-        # so it is nonzero at that row's pivot and zero at every other pivot
-        # of z: one walk over z's sparse rows finds the row behind each
-        rows = iter(zip(z._rows, z.pivots))
-        reps = []
-        for v in reps_vecs:
-            row, c = next((row, c) for row, c in rows if v[c])
-            reps.append(self.ctx.from_row(k, row, row[c]))
         self.cocycles[k] = z
         self.coboundaries[k] = b
-        self._rep_vectors[k] = reps_vecs
-        self.representatives[k] = reps
-        self.betti.append(len(reps_vecs))
+        self._rep_rows[k] = rep_rows = [(z._rows[i], z._rows[i][z.pivots[i]])
+                                        for i in exactla.quotient_basis(z, b)]
+        self.representatives[k] = [self.ctx.from_row(k, row, p)
+                                   for row, p in rep_rows]
+        self.betti.append(len(rep_rows))
 
     def _compute_cup(self):
         for p in range(self.max_degree + 1):
@@ -200,11 +193,12 @@ class CohomologySummary:
             raise ValueError(f"element has degree {k}, expected {degree}")
         if k > self.max_degree:
             raise BoundTooLow(f"degree {k} beyond computed bound {self.max_degree}")
+        rep_rows = self._rep_rows[k]
         solver = self._class_solver.get(k)
         if solver is None:
-            cols = list(self._rep_vectors[k]) + list(self.coboundaries[k].basis)
+            cols = [row for row, _ in rep_rows] + self.coboundaries[k]._rows
             solver = exactla.LinearSolver(
-                Matrix.from_columns(cols, self.ctx.dim(k)))
+                Matrix._of_columns(cols, self.ctx.dim(k)))
             self._class_solver[k] = solver
         # the columns span the degree-k cocycles, so there is no solution
         # exactly when e is not closed
@@ -212,7 +206,8 @@ class CohomologySummary:
             x = solver.solve(self.ctx.coords(e, k))
         except exactla.NoSolution:
             raise NotACocycle(f"element of degree {k} is not closed") from None
-        return k, tuple(x[:self.betti[k]])
+        # representative i is its row over the row's pivot entry p
+        return k, tuple(x[i] * p for i, (_, p) in enumerate(rep_rows))
 
     def is_zero_class(self, e, degree=None):
         _, vec = self.class_coords(e, degree)

@@ -17,7 +17,7 @@ from .cohomology import CohomologySummary, compute
 from .dga import DGA, Differential, TabularDGA
 from .errors import (DegreeGap, NotACocycle, ParamOutOfRange,
                      UnknownCorpusEntry, WrongDegree)
-from .exactla import Matrix, Subspace
+from .exactla import Matrix
 from .gca import Algebra, Element
 from .sullivan import DgaMorphism
 
@@ -296,8 +296,8 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
                     for i in range(m.rows)], cols=m.cols)
         kers[r] = exactla.kernel(a)
         ims[r] = exactla.image(a)
-        full = Subspace(h.betti[r], Matrix.identity(h.betti[r]).data)
-        cokers[r] = exactla.quotient_basis(full, ims[r])
+        cokers[r] = exactla.quotient_basis(
+            exactla.image(Matrix.identity(h.betti[r])), ims[r])
 
     def klab(r, i):
         return "1" if r == 0 else f"k{r}.{i}"
@@ -314,8 +314,8 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
             basis.append((nlab(r, i), r))
 
     def coker_coords(r, vec):
-        cols = list(cokers[r]) + list(ims[r].basis)
-        x = exactla.solve(Matrix.from_columns(cols, h.betti[r]), vec)
+        cols = [{i: 1} for i in cokers[r]] + ims[r]._rows
+        x = exactla.solve(Matrix._of_columns(cols, h.betti[r]), vec)
         return x[:len(cokers[r])]
 
     products = {}
@@ -340,7 +340,7 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
     for r in range(1, n + 2):           # nu-part times invariant part
         for rr in range(1, n + 2 - r):
             for i, ci in enumerate(cokers[r - 1]):
-                ec = h.rep_combination(r - 1, ci)
+                ec = h.representatives[r - 1][ci]
                 for j, vj in enumerate(kers[rr].basis):
                     prod_deg = r - 1 + rr
                     if prod_deg > n:

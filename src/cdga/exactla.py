@@ -9,9 +9,10 @@ columns, which is why the scale is one for the whole matrix and not one per
 row.  A Fraction vector enters once, through _to_int_row (scaled by the lcm
 of its denominators); rows are eliminated with _core.rref_int, and reduced
 against an echelon with its primitive row update _core._clear.  A subspace
-is its primitive RREF rows and their pivot columns.  Dense Fraction tuples
-are built only where a caller reads them: Matrix.data and Subspace.basis
-(each on first read), rref_rows, LinearSolver.solve and quotient_basis.
+is its primitive RREF rows and their pivot columns; quotient_basis returns
+indices of such rows.  Dense Fraction tuples are built only where a caller
+reads them: Matrix.data and Subspace.basis (each on first read), rref_rows
+and LinearSolver.solve.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
@@ -92,7 +93,7 @@ class Matrix:
 
     @classmethod
     def _of_sparse(cls, rows, cols):
-        """The matrix whose rows are the {col: Fraction} maps `rows`."""
+        """The matrix whose rows are the {col: int or Fraction} maps `rows`."""
         m = cls.__new__(cls)
         m._set(cols, rows)
         return m
@@ -123,17 +124,16 @@ class Matrix:
         return self._data
 
     @classmethod
+    def _of_columns(cls, columns, nrows):
+        """The nrows x len(columns) matrix whose columns are the
+        {row: int or Fraction} maps `columns` of their nonzero entries."""
+        return cls._of_sparse(columns, nrows).transpose()
+
+    @classmethod
     def from_columns(cls, columns, nrows):
         """The nrows x len(columns) matrix whose columns are `columns`."""
-        rows = [{} for _ in range(nrows)]
-        for c, col in enumerate(columns):
-            for r, row in enumerate(rows):
-                x = col[r]
-                if type(x) is not Fraction:
-                    x = Fraction(x)
-                if x:
-                    row[c] = x
-        return cls._of_sparse(rows, len(columns))
+        return cls._of_columns([{r: Fraction(x) for r, x in enumerate(col) if x}
+                                for col in columns], nrows)
 
     @classmethod
     def identity(cls, n):
@@ -322,17 +322,18 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
     """Coset representatives completing sub to ambient, deterministically.
 
     Representatives are drawn from ambient's RREF basis, in order, keeping
-    those that add rank over sub.
+    those that add rank over sub; the result is the ascending list of their
+    indices into ambient's rows (ambient.basis[i] is representative i).
     """
     if ambient.ambient_dim != sub.ambient_dim:
         raise DimensionMismatch("subspaces of different ambient spaces")
     if not ambient.contains(sub):
         raise DimensionMismatch("sub is not contained in ambient")
-    reps = []
+    kept = []
     echelon = list(zip(sub._rows, sub.pivots))
-    for row, c in zip(ambient._rows, ambient.pivots):
+    for i, row in enumerate(ambient._rows):
         w = _residual(row, echelon)
         if w:
-            reps.append(_dense(row, ambient.ambient_dim, row[c]))
+            kept.append(i)
             echelon.append((w, min(w)))
-    return reps
+    return kept

@@ -134,6 +134,14 @@ class SullivanModel:
         return dict(sorted(out.items()))
 
 
+def _row_elements(alg, space, elements):
+    """The elements, one per RREF row of space, sum_i (row[i] / row[p]) *
+    elements[i] over ascending i, p the row's pivot."""
+    return (alg.from_terms(linear_combination(
+        (Fraction(row[i], row[p]), elements[i].terms) for i in sorted(row)))
+        for row, p in zip(space._rows, space.pivots))
+
+
 def _transplant(new_alg: Algebra, e: Element) -> Element:
     # generator lists are append-only, so monomial indices stay valid
     return Element(new_alg, dict(e.terms))
@@ -208,12 +216,11 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         img_vecs = [target_summary.class_coords(phi(r), degree=k)[1]
                     for r in summary.representatives[k]]
         img = Subspace(target_summary.betti[k], img_vecs)
-        full = Subspace(target_summary.betti[k],
-                        Matrix.identity(target_summary.betti[k]).data)
-        for v in exactla.quotient_basis(full, img):
+        full = exactla.image(Matrix.identity(target_summary.betti[k]))
+        for i in exactla.quotient_basis(full, img):
             name = fresh_name("w", k)
             gens.append((name, k))
-            phi_images[name] = target_summary.rep_combination(k, v)
+            phi_images[name] = target_summary.representatives[k][i]
             ledger[k]["surjective"].append(name)
         _guard_gens(k, len(gens), max_gens)
 
@@ -225,10 +232,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         m = Matrix.from_columns(cols, target_summary.betti[k + 1])
         kernel_classes = exactla.kernel(m)
         new = []
-        # each kernel class is a sparse RREF row over its pivot entry
-        for row, p in zip(kernel_classes._rows, kernel_classes.pivots):
-            z = model.algebra.from_terms(linear_combination(
-                (Fraction(row[i], row[p]), reps[i].terms) for i in sorted(row)))
+        for z in _row_elements(model.algebra, kernel_classes, reps):
             primitive = target_summary.is_exact(phi(z))
             if primitive is None:
                 raise AssertionError("kernel class image not exact in target")
@@ -309,24 +313,24 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
     images = {}          # name -> element of the model
     n_parts = set()      # ordinals of the N pseudo-generators
     for i in range(1, s + 1):
-        vi = [g for g in alg.generators if g.degree == i]
+        vi = [alg.gen(g.name) for g in alg.generators if g.degree == i]
         if not vi:
             splitting[i] = {"C": 0, "N": 0}
             continue
-        cols = [ctx.coords(dga.d(dga.gen(g.name)), i + 1) for g in vi]
-        m = Matrix.from_columns(cols, ctx.dim(i + 1))
-        c_space = exactla.kernel(m)
-        full = Subspace(len(vi), Matrix.identity(len(vi)).data)
-        n_vecs = exactla.quotient_basis(full, c_space)
-        splitting[i] = {"C": c_space.dim, "N": len(n_vecs)}
-        for tag, vecs in (("C", c_space.basis), ("N", n_vecs)):
-            for v in vecs:
+        c_space = exactla.kernel(
+            ctx.columns(i + 1, [dga.d(g).terms for g in vi]))
+        n_gens = [vi[j] for j in exactla.quotient_basis(
+            exactla.image(Matrix.identity(len(vi))), c_space)]
+        splitting[i] = {"C": c_space.dim, "N": len(n_gens)}
+        # the C parts are c_space's RREF rows, the N parts generators of V^i
+        for tag, parts in (("C", _row_elements(alg, c_space, vi)),
+                           ("N", n_gens)):
+            for part in parts:
                 if tag == "N":
                     n_parts.add(len(pseudo))
                 name = f"{tag}{len(pseudo)}"
                 pseudo.append((name, i))
-                images[name] = alg.from_terms(linear_combination(
-                    (c, alg.gen(g.name).terms) for c, g in zip(v, vi)))
+                images[name] = part
     palg = Algebra(pseudo)
     # an algebra morphism only: its memoised monomial images are the products
     products = DgaMorphism(DGA(palg, Differential(palg, {})), dga, images)
@@ -354,12 +358,9 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
                     f"s-formality: the degree-{k} piece has dimension "
                     f"{ctx.dim(k)} > max_dim {max_dim}", degree=k,
                     dimension=ctx.dim(k))
-        cols = [ctx.coords(dga.d(e), m_deg + 1) for e in ideal_elems]
-        dmat = Matrix.from_columns(cols, ctx.dim(m_deg + 1))
-        closed = exactla.kernel(dmat)
-        for w in closed.basis:
-            z = alg.from_terms(linear_combination(
-                (c, e.terms) for c, e in zip(w, ideal_elems)))
+        closed = exactla.kernel(
+            ctx.columns(m_deg + 1, [dga.d(e).terms for e in ideal_elems]))
+        for z in _row_elements(alg, closed, ideal_elems):
             if z.is_zero():
                 continue
             image = z if morphism is None else morphism(z)

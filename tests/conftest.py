@@ -156,7 +156,8 @@ def recomputing_minimal_model(target, max_degree):
             ts.class_coords(phi(r), degree=k)[1]
             for r in summary.representatives[k]])
         full = Subspace(ts.betti[k], Matrix.identity(ts.betti[k]).data)
-        for n, v in enumerate(exactla.quotient_basis(full, img)):
+        for n, i in enumerate(exactla.quotient_basis(full, img)):
+            v = full.basis[i]
             name = f"w{k}_{n}"
             gens.append((name, k))
             phi_images[name] = ts.rep_combination(k, v)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cdga.cli import main
+from cdga.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 REPO = Path(__file__).resolve().parents[1]
@@ -64,6 +64,14 @@ class TestCommands:
         assert doc["result"] == {"ok": True, "kind": "free", "size": 2,
                                  "metadata": {}}
         assert len(doc["input_digest"]) == 64
+
+    def test_parser_is_built_once_and_calls_share_no_state(self):
+        assert build_parser() is build_parser()
+        argv = ["cohomology", "-", "--max-degree", "5"]
+        _, out = run_cli(argv + ["--ring"], stdin_text=CP2_TEXT)
+        assert "ring" in json.loads(out)["result"]
+        _, out = run_cli(argv, stdin_text=CP2_TEXT)
+        assert "ring" not in json.loads(out)["result"]
 
     def test_validate_reads_stdin(self):
         code, out = run_cli(["validate", "-"], stdin_text=CP2_TEXT)
@@ -234,7 +242,22 @@ BAD_AUTOMORPHISMS = {
         "kind": "partial", "top_degree": 7, "matrices": [1]}),
     "matrix_not_a_list_of_rows": json.dumps({
         "kind": "partial", "top_degree": 7, "matrices": {"2": 5}}),
+    "top_degree_out_of_range": json.dumps({
+        "kind": "partial", "top_degree": 20, "matrices": {}}),
+    "top_degree_without_a_top_class": json.dumps({
+        "kind": "partial", "top_degree": 6, "matrices": {}}),
+    "singular_full_matrix": json.dumps({
+        "kind": "full", "matrices": {"2": [["1", "0"], ["1", "0"]]}}),
+    # invertible in every degree, but it doubles one degree-5 class only,
+    # so it breaks the cup products H^2 x H^5 -> H^7
+    "full_not_cup_compatible": json.dumps({"kind": "full", "matrices": {
+        "0": [["1"]], "1": [], "2": [["1", "0"], ["0", "1"]], "3": [],
+        "4": [], "5": [["2", "0"], ["0", "1"]], "6": [], "7": [["1"]]}}),
 }
+AUTOMORPHISM_FIELDS = {"top_degree_out_of_range": "top_degree",
+                       "top_degree_without_a_top_class": "top_degree",
+                       "singular_full_matrix": "matrices",
+                       "full_not_cup_compatible": "matrices"}
 
 BAD_CORPUS_ARGS = {
     "s_k_without_k": (["corpus", "s_k"], "ParamOutOfRange", None),
@@ -264,6 +287,8 @@ class TestBadInput:
                                   stdin_text=q_text))
         assert error["kind"] == "ModelSyntaxError"
         assert "field" in error["location"]
+        if case in AUTOMORPHISM_FIELDS:
+            assert error["location"]["field"] == AUTOMORPHISM_FIELDS[case]
 
     @pytest.mark.parametrize("case", sorted(BAD_CORPUS_ARGS))
     def test_corpus_parameters(self, case):

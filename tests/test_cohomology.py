@@ -157,6 +157,20 @@ class TestExamples:
                         for t in range(s.ctx.dim(k))])
                 assert s.rep_combination(k, v) == want
 
+    @pytest.mark.parametrize("name", ["x6", "q111", "s_3"])
+    def test_class_coords_are_fractions(self, name, q111):
+        # the CLI prints a Fraction as "p/q" and an int as a JSON number, so
+        # an int coordinate would change --ring output
+        obj = {"q111": q111, "x6": x6_model(),
+               "s_3": s_k_model(3)[0]}[name]
+        s = compute(obj, 7)
+        vecs = list(s.cup.values())
+        for k in range(8):
+            for i, rep in enumerate(s.representatives[k]):
+                vecs.append(s.class_coords(rep * Fraction(3, 2), degree=k)[1])
+            vecs.append(s.class_coords(obj.zero(), degree=k)[1])
+        assert vecs and all(type(c) is Fraction for v in vecs for c in v)
+
     def test_rep_combination_inverts_class_coords(self, q111):
         s = compute(q111, 5, with_cup=False)
         for k in (2, 5):

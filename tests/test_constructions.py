@@ -237,6 +237,26 @@ class TestMappingTorus:
             verdict = formality(model, 8, cap=8)
             assert verdict.status == "Formal", (name, kw)
 
+    @pytest.mark.parametrize("name, kw", [
+        ("q111-torus", {}), ("berger-torus", {}), ("w-torus", {"rho": "id"}),
+        ("w-torus", {"rho": "flip"})])
+    def test_formality_model_ring_matches_the_torus(self, name, kw):
+        # the stand-in and the torus share Betti numbers and cup products
+        # through degree 4, where every piece has dimension at most 1; zero
+        # patterns are compared, not values (the q111 torus reads 2 where
+        # its stand-in reads 1)
+        entry = corpus(name, **kw)
+        torus = entry.obj
+        model = compute(entry.metadata["formality_model"], 4, with_cup=True)
+        assert list(model.betti) == list(torus.betti[:5])
+        assert max(model.betti) <= 1
+        for p in range(1, 4):
+            for q in range(1, 5 - p):
+                for i in range(model.betti[p]):
+                    for j in range(model.betti[q]):
+                        key = (p, i, q, j)
+                        assert any(torus.cup[key]) == any(model.cup[key]), key
+
 
 class TestCorpus:
     def test_unknown_name_rejected(self):

@@ -40,10 +40,16 @@ class TestExamples:
     def test_quotient_basis_plane_mod_diagonal(self):
         ambient = Subspace(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         sub = Subspace(3, [[1, 1, 1]])
-        reps = quotient_basis(ambient, sub)
+        reps = [ambient.basis[i] for i in quotient_basis(ambient, sub)]
         assert len(reps) == 2
         span = Subspace(3, list(sub.basis) + list(reps))
         assert span.dim == 3
+
+    def test_quotient_basis_returns_kept_row_indices(self):
+        ambient = Subspace(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        kept = quotient_basis(ambient, Subspace(3, [[0, 2, 0]]))
+        assert kept == [0, 2]
+        assert all(type(i) is int for i in kept)
 
     def test_quotient_requires_containment(self):
         ambient = Subspace(3, [[1, 0, 0]])
@@ -263,7 +269,8 @@ class TestProperties:
         for v in ambient.basis:
             if rank(list(sub.basis) + kept + [v]) > rank(list(sub.basis) + kept):
                 kept.append(v)
-        assert quotient_basis(ambient, sub) == kept
+        assert [ambient.basis[i]
+                for i in quotient_basis(ambient, sub)] == kept
 
 
 class TestEdgeCases:
