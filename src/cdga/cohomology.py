@@ -5,8 +5,11 @@ pieces with a cached differential matrix per degree; both kinds offer the
 same algebra interface, so it never branches on the kind.  It answers every
 exactness question: it solves d(w) = z on the degree k-1 matrix, built when
 first needed, so the answer does not depend on any summary's degree bound.
-ChainComplex.columns writes degree-k term maps as sparse matrix columns; a
-d-matrix is the columns of d on each basis element.
+A d-matrix is written from the DGA's integer d_pairs: those of basis
+element j go straight into column j of {col: int} rows, over d_den divided
+by its gcd g with every entry, which makes the scale the lcm of the entries'
+denominators as Matrix requires.  ChainComplex.columns writes other term
+maps as sparse matrix columns.
 A CohomologySummary adds cocycles, coboundaries, class representatives and
 cups up to a bound.  Class representatives are the echelon coset
 representatives: the cocycles' sparse RREF rows whose indices quotient_basis
@@ -19,6 +22,7 @@ the element is not closed.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import exactla
@@ -93,9 +97,26 @@ class ChainComplex:
         """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
         m = self._d_matrix.get(k)
         if m is None:
-            d_terms = self.dga.d_terms
-            m = self._d_matrix[k] = self.columns(
-                k + 1, [d_terms({b: 1}) for b in self.basis(k)])
+            idx = self._positions(k + 1)
+            rows = [{} for _ in range(len(idx))]
+            d_pairs = self.dga.d_pairs
+            basis = self.basis(k)
+            for j, b in enumerate(basis):
+                for t, c in d_pairs(b):
+                    row = rows[idx[t]]
+                    v = row.get(j, 0) + c
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+            # over D / g, g = gcd(D, entries), the scale is the lcm of the
+            # entries' denominators, as Matrix requires
+            den = self.dga.d_den
+            g = math.gcd(den, *(x for r in rows for x in r.values())) \
+                if den > 1 else 1
+            if g > 1:
+                rows = [{j: x // g for j, x in r.items()} for r in rows]
+            m = self._d_matrix[k] = Matrix._of_int(rows, len(basis), den // g)
         return m
 
     def is_exact(self, z):

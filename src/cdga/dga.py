@@ -4,6 +4,13 @@ A Differential is given on generators and extended by the graded Leibniz
 rule d(a*b) = (da)*b + (-1)^{|a|} a*(db).  Validation checks d о d = 0 on
 generators, which suffices by Leibniz.
 
+Both kinds keep their generator images once more as {key: int} maps over
+one common denominator, d_den.  d_pairs(key) gives d of one basis key as
+(key, int) pairs over d_den: for a free DGA the Leibniz rule on monomial
+tuples, for a tabular one the stored image.  cohomology.ChainComplex
+writes those pairs straight into integer d-matrix rows, and d_terms sums
+them over d_den for an element.
+
 TabularDGA is the finite-dimensional counterpart used as a morphism target:
 a basis with a product table and a (possibly zero) differential, e.g. a
 cohomology algebra (H^*, 0).  It is its own algebra: it provides the same
@@ -19,6 +26,26 @@ from fractions import Fraction
 
 from .errors import (InhomogeneousDifferential, MixedAlgebra, WrongDegree)
 from .gca import Algebra, Element, linear_combination
+
+
+def _over(terms, den):
+    """The {key: Fraction} map terms as {key: int} over den, a multiple of
+    every denominator in it."""
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _sum_pairs(d_pairs, den, terms):
+    """The sum over terms of coefficient * d_pairs(key), divided by den: d of
+    a {key: coefficient} map, as such a map."""
+    out = {}
+    for key, coeff in terms.items():
+        for t, c in d_pairs(key):
+            v = out.get(t, 0) + coeff * c
+            if v:
+                out[t] = v
+            elif t in out:
+                del out[t]
+    return out if den == 1 else {t: Fraction(v, den) for t, v in out.items()}
 
 
 class Differential:
@@ -46,6 +73,11 @@ class Differential:
         if unknown:
             raise KeyError(f"images for unknown generators: {sorted(unknown)}")
         self.images = imgs
+        # the images once more, as {monomial: int} maps over one denominator
+        self.den = math.lcm(*(c.denominator for e in imgs.values()
+                              for c in e.terms.values()))
+        self.int_images = {i: _over(e.terms, self.den)
+                           for i, e in imgs.items()}
 
     def of_generator(self, index):
         return self.images[index]
@@ -68,6 +100,7 @@ class DGA:
             raise MixedAlgebra("differential defined on another algebra")
         self.algebra = algebra
         self.differential = differential
+        self.d_den = differential.den
 
     def d(self, e: Element) -> Element:
         """Leibniz extension of the generator images."""
@@ -76,51 +109,45 @@ class DGA:
         return Element(self.algebra, self.d_terms(e.terms))
 
     def d_terms(self, terms):
-        """d of a {monomial: coefficient} map, as such a map.
+        """d of a {monomial: coefficient} map, as such a map."""
+        return _sum_pairs(self.d_pairs, self.d_den, terms)
+
+    def d_pairs(self, mono):
+        """d of one monomial as (monomial, int) pairs over d_den; a monomial
+        may occur in more than one pair.
 
         The graded Leibniz rule on monomial tuples: the factor (g, exp) at
-        position pos of a monomial contributes
+        position pos contributes
         (-1)^{|prefix|} * exp * prefix * d(g) * g^(exp-1) * rest
         with each product formed by Algebra.mul_monomials.
         """
         alg = self.algebra
         gens = alg.generators
-        images = self.differential.images
+        images = self.differential.int_images
         mul = alg.mul_monomials
-        out = {}
-        for mono, coeff in terms.items():
-            prefix_deg = 0
-            for pos, (gi, exp) in enumerate(mono):
-                image = images[gi].terms
-                if image:
-                    prefix = mono[:pos]
-                    tail = (((gi, exp - 1),) if exp > 1 else ()) + mono[pos + 1:]
-                    c = exp * coeff if prefix_deg % 2 == 0 else -exp * coeff
-                    neg = -c
-                    for m, dc in image.items():
-                        sign = 1
-                        if prefix:
-                            hit = mul(prefix, m)
-                            if hit is None:
-                                continue
-                            m, sign = hit
-                        if tail:
-                            hit = mul(m, tail)
-                            if hit is None:
-                                continue
-                            m, s = hit
-                            sign *= s
-                        v = dc * (c if sign > 0 else neg)
-                        old = out.get(m)
-                        if old is None:
-                            out[m] = v
-                        else:
-                            v += old
-                            if v:
-                                out[m] = v
-                            else:
-                                del out[m]
-                prefix_deg += gens[gi].degree * exp
+        out = []
+        prefix_deg = 0
+        for pos, (gi, exp) in enumerate(mono):
+            image = images[gi]
+            if image:
+                prefix = mono[:pos]
+                tail = (((gi, exp - 1),) if exp > 1 else ()) + mono[pos + 1:]
+                c = -exp if prefix_deg % 2 else exp
+                for m, dc in image.items():
+                    sign = 1
+                    if prefix:
+                        hit = mul(prefix, m)
+                        if hit is None:
+                            continue
+                        m, sign = hit
+                    if tail:
+                        hit = mul(m, tail)
+                        if hit is None:
+                            continue
+                        m, s = hit
+                        sign *= s
+                    out.append((m, dc * c if sign > 0 else -dc * c))
+            prefix_deg += gens[gi].degree * exp
         return out
 
     def validate(self) -> ValidationReport:
@@ -221,6 +248,10 @@ class TabularDGA:
                     raise WrongDegree(f"d({lab}) has a wrong-degree component")
             if entry:
                 self.diff[i] = entry
+        self.d_den = math.lcm(*(c.denominator for entry in self.diff.values()
+                                for c in entry.values()))
+        self._d_int = {i: _over(entry, self.d_den)
+                       for i, entry in self.diff.items()}
 
     @property
     def algebra(self):
@@ -263,8 +294,11 @@ class TabularDGA:
 
     def d_terms(self, terms):
         """d of a {basis index: coefficient} map, as such a map."""
-        return linear_combination((c, self.diff.get(i, {}))
-                                  for i, c in terms.items())
+        return _sum_pairs(self.d_pairs, self.d_den, terms)
+
+    def d_pairs(self, i):
+        """d of basis index i as (index, int) pairs over d_den."""
+        return self._d_int.get(i, {}).items()
 
     def validate(self):
         """Associativity, graded commutativity, Leibniz, d^2 = 0.
@@ -288,8 +322,8 @@ class TabularDGA:
 
         Each identity is compared on {index: int} maps: the product table is
         scaled by D, the lcm of its entries' denominators (so a product with
-        the unit is {j: D}), and the differential by E, the lcm of its
-        entries'.  Associativity then holds at scale D^2, d^2 = 0 at E^2 and
+        the unit is {j: D}), and the differential is the integer one d_pairs
+        reads, over E = d_den.  Associativity then holds at scale D^2, d^2 = 0 at E^2 and
         Leibniz at D*E; both sides carry the same positive scale, so the
         integer maps agree exactly when the rational ones do.
         """
@@ -304,14 +338,8 @@ class TabularDGA:
                    if entry and unit not in (i, j)}
         big_d = math.lcm(*(c.denominator for entry in nonzero.values()
                            for c in entry.values()))
-        big_e = math.lcm(*(c.denominator for entry in self.diff.values()
-                           for c in entry.values()))
-        table = {key: {k: c.numerator * (big_d // c.denominator)
-                       for k, c in entry.items()}
-                 for key, entry in nonzero.items()}
-        diff = {i: {k: c.numerator * (big_e // c.denominator)
-                    for k, c in entry.items()}
-                for i, entry in self.diff.items()}
+        table = {key: _over(entry, big_d) for key, entry in nonzero.items()}
+        diff = self._d_int
         empty = {}
 
         def mul(i, j):

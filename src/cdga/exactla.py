@@ -4,15 +4,27 @@ Inside this module a vector is a sparse integer row, a {col: int} map of
 its nonzero entries, the form the fraction-free kernel in cdga._core works
 on.  A Matrix holds one exact form, built once: its rows as {col: int} maps
 over one common denominator, the lcm of every entry's denominator.
-kernel, image, rank and LinearSolver read those rows; image reads them as
-columns, which is why the scale is one for the whole matrix and not one per
-row.  A Fraction vector enters once, through _to_int_row (scaled by the lcm
-of its denominators); rows are eliminated with _core.rref_int, and reduced
-against an echelon with its primitive row update _core._clear.  A subspace
-is its primitive RREF rows and their pivot columns; quotient_basis returns
-indices of such rows.  Dense Fraction tuples are built only where a caller
-reads them: Matrix.data and Subspace.basis (each on first read), rref_rows
-and LinearSolver.solve.
+kernel, image, rank and LinearSolver read those rows; image and
+LinearSolver read them as columns, which is why the scale is one for the
+whole matrix and not one per row.  A Fraction vector enters once, through
+_to_int_row (scaled by the lcm of its denominators); rows are eliminated
+with _core.rref_int.  A subspace is its primitive RREF rows and their pivot
+columns; quotient_basis returns indices of such rows.  Dense Fraction
+tuples are built only where a caller reads them: Matrix.data and
+Subspace.basis (each on first read), rref_rows and LinearSolver.solve.
+
+_residual reduces a vector against a {pivot column: row} map with _core's
+row update _clear, in ascending pivot order, so its work follows the
+vector's pivot columns rather than the number of rows.
+
+LinearSolver eliminates m's columns, column j carrying e_j in a tail whose
+order is reversed ([m^T | J]).  A pivot left of the tail gives a row v of
+the RREF of m's column space, with its tail a u such that m u = v.  A
+column j that depends on the columns before it gives a kernel vector whose
+support ends at j; reversed, its leading entry is j's tail position, so
+the tail pivots are m's free columns and full reduction leaves every u
+zero there.  Summing the u over b's coordinates on the RREF thus gives the
+solution with free variables zero, as a row elimination of [m | b] does.
 Pivot choice is always the first nonzero entry in column order, so every
 derived basis is deterministic.
 """
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from ._core import _clear, rref_int
 from .errors import DimensionMismatch, NoSolution
@@ -56,11 +69,22 @@ def _rref(rows, ncols):
 
 
 def _residual(w, echelon):
-    """w with each pivot of echelon cleared in order; echelon rows are zero at
-    the pivots before theirs, so the result is empty iff w is in their span."""
-    for row, c in echelon:
+    """w reduced by echelon, a {pivot column: row} map of rows that are zero
+    left of their pivots: empty iff w is in their span.  Clearing column c
+    adds only columns right of c, so w's pivot columns are cleared in
+    ascending order, each once; only a clearing row's columns can add one."""
+    todo = [c for c in w if c in echelon]
+    heapify(todo)
+    queued = set(todo)
+    while todo:
+        c = heappop(todo)
         if c in w:
+            row = echelon[c]
             w = _clear(w, row, c)
+            for j in row:
+                if j not in queued and j in echelon and j in w:
+                    queued.add(j)
+                    heappush(todo, j)
     return w
 
 
@@ -92,13 +116,6 @@ class Matrix:
         self._set(cols, [{j: x for j, x in enumerate(r) if x} for r in rows])
 
     @classmethod
-    def _of_sparse(cls, rows, cols):
-        """The matrix whose rows are the {col: int or Fraction} maps `rows`."""
-        m = cls.__new__(cls)
-        m._set(cols, rows)
-        return m
-
-    @classmethod
     def _of_int(cls, rows, cols, den):
         """The matrix whose rows are the {col: int} maps `rows` over den,
         with den already the lcm of the entries' denominators."""
@@ -127,7 +144,9 @@ class Matrix:
     def _of_columns(cls, columns, nrows):
         """The nrows x len(columns) matrix whose columns are the
         {row: int or Fraction} maps `columns` of their nonzero entries."""
-        return cls._of_sparse(columns, nrows).transpose()
+        m = cls.__new__(cls)
+        m._set(nrows, columns)
+        return m.transpose()
 
     @classmethod
     def from_columns(cls, columns, nrows):
@@ -174,12 +193,14 @@ class Matrix:
     def inverse(self):
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        # [m | I] reduces to [I | m^-1], row i scaled by its pivot entry p
-        pivot_rows = LinearSolver(self)._pivot_rows
-        if len(pivot_rows) != self.rows:
+        # m's columns reduce to I, row i to p * e_i with p its pivot entry,
+        # and m u = p * e_i makes u / p column i of the inverse
+        solver = LinearSolver(self)
+        if len(solver._echelon) != self.rows:
             raise NoSolution("matrix is singular")
-        return Matrix._of_sparse([{j: Fraction(x, p) for j, x in u.items()}
-                                  for _, p, u in pivot_rows], self.rows)
+        return Matrix._of_columns(
+            [{j: Fraction(x, solver._echelon[i][i]) for j, x in u.items()}
+             for i, u in solver._preimage.items()], self.rows)
 
     def matmul(self, other):
         if self.cols != other.rows:
@@ -229,7 +250,8 @@ class Subspace:
     def member(self, v):
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        return not _residual(_to_int_row(v), zip(self._rows, self.pivots))
+        return not _residual(_to_int_row(v), dict(zip(self.pivots,
+                                                       self._rows)))
 
     def coordinates(self, v):
         """Coefficients of v on the RREF basis; raises if v is outside."""
@@ -240,7 +262,7 @@ class Subspace:
     def contains(self, other):
         if other.pivots and other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
-        echelon = list(zip(self._rows, self.pivots))
+        echelon = dict(zip(self.pivots, self._rows))
         return not any(_residual(r, echelon) for r in other._rows)
 
     def __eq__(self, other):
@@ -283,38 +305,44 @@ def solve(m: Matrix, b):
 
 
 class LinearSolver:
-    """Repeated solving of m x = b: the elimination is done once on [m | I].
-
-    Free variables are set to zero.
+    """Repeated solving of m x = b: the elimination is done once, on
+    [m^T | J] (see the module docstring).  Free variables are set to zero.
     """
 
     def __init__(self, m: Matrix):
-        self.rows = m.rows
-        self.cols = n = m.cols
-        # [m | I] times m's common denominator
-        aug = [{**a, n + r: m._den} for r, a in enumerate(m._int)]
-        reduced, pivots = _rref(aug, n + m.rows)
-        # pivot in the m-part: row combination giving that coordinate of x;
-        # pivot in the I-part: the m-part is zero, so the combination spans
-        # the left null space and yields a consistency constraint on b
-        split = [(pc, row[pc], {j - n: x for j, x in row.items() if j >= n})
-                 for row, pc in zip(reduced, pivots)]
-        self._pivot_rows = [t for t in split if t[0] < n]
-        self._null_rows = [t[2] for t in split if t[0] >= n]
+        self.rows = n = m.rows
+        self.cols = m.cols
+        last = n + m.cols - 1    # the tail position of column 0
+        aug = [{**col, last - j: m._den} for j, col in enumerate(m._columns())]
+        reduced, pivots = _rref(aug, n + m.cols)
+        self._echelon = {}       # pivot -> row of the column-space RREF
+        self._preimage = {}      # pivot -> {column of m: int}, m u = that row
+        for row, pc in zip(reduced, pivots):
+            if pc >= n:
+                break            # pivots ascend; the rest have no m-part
+            self._echelon[pc] = {j: x for j, x in row.items() if j < n}
+            self._preimage[pc] = {last - j: x for j, x in row.items()
+                                  if j >= n}
 
     def solve(self, b):
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {self.rows}")
         bi, scale = _scaled(b)
-
-        def dot(u):
-            return sum(x * bi[j] for j, x in u.items() if j in bi)
-
-        if any(dot(u) for u in self._null_rows):
+        if _residual(bi, self._echelon):
             raise NoSolution("inconsistent system")
+        # the rows are reduced, so b is the sum of b[c] / v[c] * v over the
+        # pivots c, v the row at c; x sums the same multiples of the u
+        hits = [(bi[c], self._echelon[c][c], self._preimage[c])
+                for c in bi if c in self._preimage]
+        den = math.lcm(*(p for _, p, _ in hits))
+        acc = {}
+        for t, p, u in hits:
+            f = t * (den // p)
+            for j, y in u.items():
+                acc[j] = acc.get(j, 0) + f * y
         x = [_ZERO] * self.cols
-        for pc, p, u in self._pivot_rows:
-            x[pc] = Fraction(dot(u), p * scale)
+        for j, v in acc.items():
+            x[j] = Fraction(v, den * scale)
         return tuple(x)
 
 
@@ -330,10 +358,10 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
     if not ambient.contains(sub):
         raise DimensionMismatch("sub is not contained in ambient")
     kept = []
-    echelon = list(zip(sub._rows, sub.pivots))
+    echelon = dict(zip(sub.pivots, sub._rows))
     for i, row in enumerate(ambient._rows):
         w = _residual(row, echelon)
         if w:
             kept.append(i)
-            echelon.append((w, min(w)))
+            echelon[min(w)] = w
     return kept

@@ -144,10 +144,13 @@ class Algebra:
                 if hit is None:
                     continue
                 mono, sign = hit
-                s = out.get(mono, Fraction(0)) + sign * c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
+                v = c1 * c2 if sign > 0 else -(c1 * c2)
+                old = out.get(mono)
+                if old is not None:
+                    v += old
+                if v:
+                    out[mono] = v
+                elif old is not None:
                     del out[mono]
         return out
 

@@ -13,7 +13,8 @@ The representative formula and the indeterminacy basis each live in one
 private helper here, used by triple() and by sullivan.massey_search.  The
 search solves the primitive of each representative pair once per call,
 builds the indeterminacy only for a triple whose class is nonzero, and
-hands the first non-vanishing triple back to triple() to build the witness.
+returns the first non-vanishing triple as the MasseyResult triple() would
+build from the same parts.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
                      NotSimplyConnected)
 from .exactla import Matrix, Subspace
 from .gca import Algebra, Element, linear_combination
-from .massey import _indeterminacy, _representative, triple
+from .massey import MasseyResult, _indeterminacy, _representative
 
 DEFAULT_DIM_BUDGET = 6000
 DEFAULT_GEN_BUDGET = 300
@@ -291,7 +291,8 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
     elements is certified inside the model when it stands alone, or through
     the quasi-isomorphism to the target when one is attached (the class of a
     closed element vanishes in the full model iff its image is exact in the
-    target), on the chain complex of the model's target summary.
+    target), on the chain complex of the model's target summary.  An image
+    among the coboundaries that summary holds needs no solve.
     """
     if isinstance(model, SullivanModel):
         dga, morphism = model.dga, model.morphism
@@ -305,6 +306,8 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
     alg = dga.algebra
     ctx = ChainComplex(dga)
     exact_in = ctx if morphism is None else model.target_summary.ctx
+    # degree -> the coboundaries of the target its summary already holds
+    held = {} if morphism is None else model.target_summary.coboundaries
 
     # canonical splitting of V^i, i <= s: one pseudo-generator per C or N
     # basis vector, in degree order with C before N
@@ -364,6 +367,9 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
             if z.is_zero():
                 continue
             image = z if morphism is None else morphism(z)
+            if m_deg in held and held[m_deg].member(
+                    exact_in.coords(image, m_deg)):
+                continue
             if exact_in.is_exact(image) is None:
                 return FormalityVerdict(
                     status="Inconclusive", s=s, degree_cap=degree_cap,
@@ -399,7 +405,9 @@ def massey_search(obj, summary, cap):
     is linear, so the primitive of r'*r is (-1)^{pq} times that of r*r'.
     A defined triple costs its representative and one class
     solve; a nonzero class is then tested against the indeterminacy of its
-    outer pair (r1, r3).  The witness returned is built by massey.triple.
+    outer pair (r1, r3).  The witness is the MasseyResult massey.triple
+    would build from the same primitives, representative, class and
+    indeterminacy.
     """
     _require_cover(summary, obj, cap)
     reps = summary.representatives
@@ -435,8 +443,10 @@ def massey_search(obj, summary, cap):
                         continue    # a zero class lies in any indeterminacy
                     indet = _indeterminacy(summary, (p1, p2, p3), r1, r3)
                     if not indet.member(rep_class):
-                        return (r1, r2, r3), triple(obj, r1, r2, r3,
-                                                    summary=summary)
+                        return (r1, r2, r3), MasseyResult(
+                            defined=True, degree=n, representative=rep,
+                            primitives=(a12, a23), indeterminacy=indet,
+                            vanishes=False, representative_class=rep_class)
     return None
 
 

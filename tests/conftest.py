@@ -3,9 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.gca import Algebra, Element
+
+
+# more draws for the property tests that leave max_examples to the profile:
+# pytest --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 # -- model builders --------------------------------------------------------
@@ -67,6 +73,31 @@ def list_scan_rref_int(rows, ncols):
         done.append(prow)
         pivots.append(c)
     return done, pivots
+
+
+def list_scan_residual(w, echelon):
+    """exactla._residual as a scan of an echelon list of (row, pivot) pairs
+    in order, each row zero at the pivots before its own: a pivot is
+    cleared with _core's row update when w holds it."""
+    from cdga._core import _clear
+
+    for row, c in echelon:
+        if c in w:
+            w = _clear(w, row, c)
+    return w
+
+
+def list_scan_quotient_basis(ambient, sub):
+    """exactla.quotient_basis on list_scan_residual: the indices of the
+    ambient rows that add rank over sub and the rows kept before them."""
+    echelon = list(zip(sub._rows, sub.pivots))
+    kept = []
+    for i, row in enumerate(ambient._rows):
+        w = list_scan_residual(row, echelon)
+        if w:
+            kept.append(i)
+            echelon.append((w, min(w)))
+    return kept
 
 
 def recursive_degree_basis(degrees, k):

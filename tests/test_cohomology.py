@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdga.cohomology import ChainComplex, compute, is_exact
-from cdga.constructions import s_k_model, x6_model
+from cdga.constructions import CORPUS_NAMES, corpus, s_k_model, x6_model
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import BoundTooLow, NotACocycle
 from cdga.exactla import Matrix
 from cdga.gca import Algebra
+
+from conftest import naive_d
 
 
 class TestExamples:
@@ -225,6 +227,32 @@ class TestChainComplex:
             assert m == expected and m.data == expected.data
             assert (m.rows, m.cols) == (chain.dim(k + 1), n)
 
+    def test_d_matrix_on_every_corpus_model(self):
+        # the integer assembly against the coordinates of d on each basis
+        # element, with integer and with non-integer differentials
+        models = corpus_models() + fractional_models()
+        for name, obj in models:
+            chain = ChainComplex(obj)
+            one = Fraction(1)
+            for k in range(9):
+                cols = [chain.coords(obj.d(obj.algebra.from_terms({b: one})),
+                                     k + 1) for b in chain.basis(k)]
+                m, expected = chain.d_matrix(k), Matrix.from_columns(
+                    cols, chain.dim(k + 1))
+                assert m == expected and m.data == expected.data, (name, k)
+        assert {obj.d_den for _, obj in fractional_models()} == {18, 6}
+
+    def test_fractional_differential_by_element_products(self):
+        _, obj = fractional_models()[0]
+        chain = ChainComplex(obj)
+        for k in range(9):
+            for b in chain.basis(k):
+                e = obj.algebra.from_terms({b: Fraction(3, 4)})
+                assert obj.d(e) == naive_d(obj, e)
+        # d(x) = ab/2 alone in degree 3: the matrix scale drops to 2
+        assert chain.d_matrix(3)._den == 2
+        assert chain.d_matrix(5)._den == 18
+
     def test_summary_shares_its_chain_complex(self, q111):
         s = compute(q111, 3, with_cup=False)
         assert s.d_matrix(2) is s.ctx.d_matrix(2)
@@ -232,6 +260,30 @@ class TestChainComplex:
     def test_rejects_other_objects(self):
         with pytest.raises(TypeError):
             ChainComplex(object())
+
+
+def corpus_models():
+    """(name, DGA or TabularDGA) of every corpus entry; a mapping-torus
+    entry is a cohomology summary, given by its formality model."""
+    entries = [corpus(name) for name in CORPUS_NAMES if name != "s_k"]
+    entries += [corpus("s_k", k=k) for k in range(3, 9)]
+    entries += [corpus("w-torus", rho="flip"),
+                corpus("aloff-wallach", k=1, l=-1)]
+    return [(e.name, e.metadata.get("formality_model", e.obj))
+            for e in entries]
+
+
+def fractional_models():
+    """A free and a tabular DGA whose differentials have non-integer
+    coefficients of different denominators in different degrees."""
+    alg = Algebra([("a", 2), ("b", 2), ("x", 3), ("y", 5)])
+    a, b = alg.gen("a"), alg.gen("b")
+    free = DGA(alg, Differential(alg, {
+        "x": a * b * Fraction(1, 2),
+        "y": a ** 3 * Fraction(2, 3) - b ** 3 * Fraction(4, 9)}))
+    tab = TabularDGA([("1", 0), ("e", 1), ("f", 2), ("g", 3), ("h", 4)],
+                     {}, {"e": {"f": "1/2"}, "g": {"h": "2/3"}})
+    return [("fractional free", free), ("fractional tabular", tab)]
 
 
 def permuted_q_model():

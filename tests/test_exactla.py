@@ -1,5 +1,6 @@
 """Exact rational linear algebra: RREF, kernel, image, solve, quotients."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -17,7 +18,8 @@ from cdga.errors import DimensionMismatch, NoSolution
 from cdga.exactla import (LinearSolver, Matrix, Subspace, image, kernel,
                           quotient_basis, solve)
 
-from conftest import list_scan_rref_int, naive_rref
+from conftest import (list_scan_quotient_basis, list_scan_residual,
+                      list_scan_rref_int, naive_rref)
 
 
 class TestExamples:
@@ -177,7 +179,7 @@ class TestSparseKernel:
     @given(st.one_of(sparse_matrices(), matrices))
     def test_matches_list_scan_oracle(self, m):
         # same pivots and the same primitive rows, signs included, for the
-        # rows, the columns and the [m | I] a LinearSolver eliminates
+        # rows, the columns and the [m^T | J] a LinearSolver eliminates
         for rows, ncols in _eliminations(m):
             assert _core.rref_int(rows, ncols) == \
                 list_scan_rref_int(rows, ncols)
@@ -203,11 +205,111 @@ class TestSparseKernel:
 
 def _eliminations(m):
     """(rows, ncols) of the eliminations kernel, image and LinearSolver
-    run on m."""
+    run on m: LinearSolver's are m's columns, column j with m's
+    denominator at tail position rows + cols - 1 - j."""
+    last = m.rows + m.cols - 1
+    return [(m._int, m.cols), (m._columns(), m.rows),
+            ([{**a, last - j: m._den} for j, a in enumerate(m._columns())],
+             m.rows + m.cols)]
+
+
+def free_zero_solution(m, b):
+    """The solution of m x = b with free variables zero, read from
+    naive_rref of [m | b]; None when [m | b] has a pivot in the b column."""
+    rows, pivots = naive_rref([list(r) + [x] for r, x in zip(m.data, b)],
+                              m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(ambient, sub, other) subspaces of one Q^n: sub spanned by integer
+    combinations of ambient's spanning rows, other drawn on its own."""
+    m = draw(st.one_of(matrices, sparse_matrices()))
     n = m.cols
-    return [(m._int, n), (m._columns(), m.rows),
-            ([{**a, n + r: m._den} for r, a in enumerate(m._int)],
-             n + m.rows)]
+    combos = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=m.rows, max_size=m.rows),
+        max_size=5))
+    sub = [[sum((c * row[j] for c, row in zip(cs, m.data)), Fraction(0))
+            for j in range(n)] for cs in combos]
+    other = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                   max_size=n), max_size=3))
+    return Subspace(n, m.data), Subspace(n, sub), Subspace(n, other)
+
+
+class TestColumnSolver:
+    """LinearSolver and Matrix.inverse against naive_rref of [m | b] and of
+    [m | I]; max_examples comes from the hypothesis profile."""
+
+    @settings(deadline=None)
+    @given(st.one_of(matrices, sparse_matrices()), st.data())
+    def test_solve_is_the_free_zero_solution(self, m, data):
+        x = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(m.cols)]
+        noise = data.draw(st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            min_size=m.rows, max_size=m.rows))
+        solver = LinearSolver(m)
+        for b in (m.apply(x), [p + q for p, q in zip(m.apply(x), noise)]):
+            want = free_zero_solution(m, b)
+            if want is None:
+                with pytest.raises(NoSolution):
+                    solver.solve(b)
+            else:
+                got = solver.solve(b)
+                assert got == want
+                assert all(type(v) is Fraction for v in got)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=-9, max_value=9,
+                                        max_denominator=6)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n).map(lambda data: Matrix(data, cols=n))))
+    def test_inverse_is_the_right_half_of_the_rref(self, m):
+        n = m.cols
+        rows, pivots = naive_rref(
+            [list(r) + [Fraction(i == j) for j in range(n)]
+             for i, r in enumerate(m.data)], 2 * n)
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(NoSolution):
+                m.inverse()
+        else:
+            assert m.inverse().data == tuple(tuple(r[n:]) for r in rows)
+
+
+class TestResidual:
+    """quotient_basis, contains and member against list_scan_residual, the
+    scan of every echelon row in order; max_examples comes from the
+    hypothesis profile."""
+
+    @settings(deadline=None)
+    @given(subspace_pairs())
+    def test_quotient_basis_and_contains(self, spaces):
+        ambient, sub, other = spaces
+        assert quotient_basis(ambient, sub) == \
+            list_scan_quotient_basis(ambient, sub)
+        for big, small in itertools.permutations(spaces, 2):
+            echelon = list(zip(big._rows, big.pivots))
+            assert big.contains(small) == (not any(
+                list_scan_residual(r, echelon) for r in small._rows))
+
+    @settings(deadline=None)
+    @given(subspace_pairs(), st.data())
+    def test_member(self, spaces, data):
+        ambient, sub, other = spaces
+        n = ambient.ambient_dim
+        v = data.draw(st.sampled_from(
+            list(other.basis) + list(sub.basis)
+            + [tuple(Fraction(0) for _ in range(n))]))
+        echelon = list(zip(ambient._rows, ambient.pivots))
+        assert ambient.member(v) == (not list_scan_residual(
+            exactla._to_int_row(v), echelon))
 
 
 class TestProperties:
