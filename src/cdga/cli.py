@@ -27,8 +27,8 @@ from fractions import Fraction
 from . import constructions, modelfile, sullivan
 from .cohomology import compute
 from .dga import DGA
-from .errors import CdgaError, ModelSyntaxError, NotDefined
-from .exactla import Matrix
+from .errors import (CdgaError, DimensionMismatch, ModelSyntaxError,
+                     NotDefined)
 from .expr import parse_expression
 from .massey import triple
 
@@ -241,8 +241,8 @@ def _build_automorphism(summary, doc):
                                                  for row in rows):
             raise ModelSyntaxError("a matrix must be a list of rows",
                                    field=field)
-        matrices[r] = Matrix([[modelfile.parse_rational(c, field) for c in row]
-                              for row in rows], cols=summary.betti[r])
+        matrices[r] = [[modelfile.parse_rational(c, field) for c in row]
+                       for row in rows]
     if kind not in ("full", "partial"):
         raise ModelSyntaxError(f"unknown automorphism kind {kind!r}",
                                field="kind")
@@ -263,7 +263,7 @@ def _build_automorphism(summary, doc):
                 summary, matrices, top_degree=top,
                 top_sign=modelfile.parse_integer(doc.get("top_sign", 1),
                                                  "top_sign"))
-    except ValueError as exc:   # a singular matrix
+    except (ValueError, DimensionMismatch) as exc:   # singular or misshapen
         raise ModelSyntaxError(str(exc), field="matrices") from None
     # the matrices come from outside, so they may not respect cup products
     bad = rho.cup_compatibility_failures()

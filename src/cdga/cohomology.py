@@ -6,23 +6,20 @@ same algebra interface, so it never branches on the kind.  It answers every
 exactness question: it solves d(w) = z on the degree k-1 matrix, built when
 first needed, so the answer does not depend on any summary's degree bound.
 A d-matrix is written from the DGA's integer d_pairs: those of basis
-element j go straight into column j of {col: int} rows, over d_den divided
-by its gcd g with every entry, which makes the scale the lcm of the entries'
-denominators as Matrix requires.  ChainComplex.columns writes other term
-maps as sparse matrix columns.
+element j go straight into column j of {col: int} rows over d_den.
+ChainComplex.columns writes other term maps as sparse matrix columns.
 A CohomologySummary adds cocycles, coboundaries, class representatives and
 cups up to a bound.  Class representatives are the echelon coset
 representatives: the cocycles' sparse RREF rows whose indices quotient_basis
 returns, each over its pivot entry; named classes of interest are recovered
 through membership tests, not representative equality.
-class_coords solves on the integer columns [representative rows |
-coboundary rows], which span the cocycles, so its solve fails exactly when
-the element is not closed.
+class_coords hands a LinearSolver the integer columns [representative
+rows | coboundary rows] as they are; they span the cocycles, so its solve
+fails exactly when the element is not closed.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import exactla
@@ -109,14 +106,8 @@ class ChainComplex:
                         row[j] = v
                     else:
                         del row[j]
-            # over D / g, g = gcd(D, entries), the scale is the lcm of the
-            # entries' denominators, as Matrix requires
-            den = self.dga.d_den
-            g = math.gcd(den, *(x for r in rows for x in r.values())) \
-                if den > 1 else 1
-            if g > 1:
-                rows = [{j: x // g for j, x in r.items()} for r in rows]
-            m = self._d_matrix[k] = Matrix._of_int(rows, len(basis), den // g)
+            m = self._d_matrix[k] = Matrix._of_int(rows, len(basis),
+                                                   self.dga.d_den)
         return m
 
     def is_exact(self, z):
@@ -126,8 +117,9 @@ class ChainComplex:
         k = z.degree()
         solver = self._exact_solver.get(k)
         if solver is None:
+            m = self.d_matrix(k - 1)
             solver = self._exact_solver[k] = exactla.LinearSolver(
-                self.d_matrix(k - 1))
+                m._columns(), m.rows, m._den)
         # a solution w shows z = d(w) is closed; only a failed solve needs
         # the closedness check
         try:
@@ -217,10 +209,9 @@ class CohomologySummary:
         rep_rows = self._rep_rows[k]
         solver = self._class_solver.get(k)
         if solver is None:
-            cols = [row for row, _ in rep_rows] + self.coboundaries[k]._rows
-            solver = exactla.LinearSolver(
-                Matrix._of_columns(cols, self.ctx.dim(k)))
-            self._class_solver[k] = solver
+            solver = self._class_solver[k] = exactla.LinearSolver(
+                [row for row, _ in rep_rows] + self.coboundaries[k]._rows,
+                self.ctx.dim(k))
         # the columns span the degree-k cocycles, so there is no solution
         # exactly when e is not closed
         try:

@@ -18,8 +18,8 @@ from .dga import DGA, Differential, TabularDGA
 from .errors import (DegreeGap, NotACocycle, ParamOutOfRange,
                      UnknownCorpusEntry, WrongDegree)
 from .exactla import Matrix
-from .gca import Algebra, Element
-from .sullivan import DgaMorphism
+from .gca import Algebra, Element, linear_combination
+from .sullivan import DgaMorphism, _row_elements
 
 
 @dataclass
@@ -160,10 +160,16 @@ def s1s2_bundle_cp2_model(e, f, h):
     return dga, ledger
 
 
+def _check_degree(summary, r):
+    if not 0 <= r <= summary.max_degree:
+        raise DegreeGap(f"degree {r} is outside 0..{summary.max_degree}")
+
+
 class CohomologyAutomorphism:
     """An algebra automorphism of H^*, one invertible matrix per degree.
 
-    Matrices act on the representative basis of the given summary.  Missing
+    Matrices act on the representative basis of the given summary: column i
+    of the degree-r matrix is rho(x_i) for representative x_i.  Missing
     degrees can be completed through the top-degree cup pairing.
     """
 
@@ -172,6 +178,7 @@ class CohomologyAutomorphism:
         self.matrices = {}
         self.provenance = list(provenance)
         for r, m in matrices.items():
+            _check_degree(summary, r)
             m = m if isinstance(m, Matrix) else Matrix(m, cols=summary.betti[r])
             if m.rows != summary.betti[r] or m.cols != summary.betti[r]:
                 raise exactla.DimensionMismatch(
@@ -205,49 +212,52 @@ class CohomologyAutomorphism:
     def from_partial(cls, summary, partial, top_degree, top_sign=1):
         """Completes given degree matrices via the cup pairing into H^top.
 
-        For each known degree r with unknown complement n-r, the matrix is
-        the unique one compatible with <rho x, rho y> = top_sign * <x, y>.
-        Degrees with b_r = 0 need no data.
+        The given matrices are checked as the constructor checks them.  For
+        each known degree r with unknown complement n-r, <rho x, rho y> =
+        top_sign * <x, y> gives M_{n-r} = top_sign * A^-1 P, with A[i][j] =
+        <rho x_i, y_j> and P[i][j] = <x_i, y_j>; a degenerate A raises
+        DegreeGap.  Degrees with b_r = 0 need no data.
         """
         n = top_degree
+        _check_degree(summary, n)
         if summary.betti[n] != 1:
             raise ValueError("duality completion needs one-dimensional H^top")
-        mats = {0: Matrix.identity(1)}
-        for r, m in partial.items():
-            mats[r] = m if isinstance(m, Matrix) else Matrix(
-                m, cols=summary.betti[r])
-        mats.setdefault(n, Matrix([[Fraction(top_sign)]]))
-        prov = [f"orientation action on H^{n} fixed to {top_sign:+d}"]
-        for r in sorted(list(mats)):
+        zero = {r: [] for r, b in enumerate(summary.betti) if not b}
+        rho = cls(summary, {**zero, n: [[top_sign]], 0: Matrix.identity(1),
+                            **partial}, provenance=[
+            f"orientation action on H^{n} fixed to {top_sign:+d}"])
+        mats = rho.matrices
+
+        def pair(x, y):
+            return summary.class_coords(x * y, degree=n)[1][0]
+
+        for r in sorted(mats):
             cr = n - r
-            if cr < 0 or cr > summary.max_degree or cr in mats:
+            if not 0 <= cr <= summary.max_degree or cr in mats:
                 continue
-            if summary.betti[cr] == 0:
-                mats[cr] = Matrix([], cols=0)
-                continue
-            if summary.betti[r] != summary.betti[cr]:
+            ys = summary.representatives[cr]
+            a = Matrix([[pair(rx, y) for y in ys]
+                        for rx in rho._images(r)], cols=len(ys))
+            if not a.is_invertible():
                 raise DegreeGap(f"cannot complete degree {cr} by duality")
-            pairing = Matrix(
-                [[summary.class_coords(ri * rj, degree=n)[1][0]
-                  for rj in summary.representatives[cr]]
-                 for ri in summary.representatives[r]],
-                cols=summary.betti[cr])
-            # M_r^T P M_{n-r} = top_sign * P
-            m_cr = (mats[r].transpose().matmul(pairing)).inverse() \
-                .matmul(pairing)
-            if top_sign != 1:
-                m_cr = Matrix([[c * Fraction(top_sign) for c in row]
-                               for row in m_cr.data], cols=m_cr.cols)
-            mats[cr] = m_cr
-            prov.append(f"degree-{cr} action derived from the degree-{r} "
-                        "action through the cup pairing")
-        for r in range(summary.max_degree + 1):
-            if r not in mats:
-                if summary.betti[r] == 0:
-                    mats[r] = Matrix([], cols=0)
-                else:
-                    raise DegreeGap(f"no matrix for degree {r}")
-        return cls(summary, mats, provenance=prov)
+            a_inv = a.inverse()
+            mats[cr] = Matrix.from_columns(
+                [a_inv.apply([top_sign * pair(x, y)
+                              for x in summary.representatives[r]])
+                 for y in ys], len(ys))
+            rho.provenance.append(f"degree-{cr} action derived from the "
+                                  f"degree-{r} action through the cup pairing")
+        missing = [r for r in range(summary.max_degree + 1) if r not in mats]
+        if missing:
+            raise DegreeGap(f"no matrix for degree {missing[0]}")
+        return rho
+
+    def _images(self, r):
+        """rho(x_i) of each degree-r representative x_i: column i of M_r."""
+        m, reps = self.matrices[r], self.summary.representatives[r]
+        return [self.summary.ctx.algebra.from_terms(linear_combination(
+            (Fraction(x, m._den), reps[a].terms)
+            for a, x in sorted(col.items()))) for col in m._columns()]
 
     def matrix(self, r) -> Matrix:
         if r not in self.matrices:
@@ -257,24 +267,19 @@ class CohomologyAutomorphism:
     def cup_compatibility_failures(self):
         """Representative pairs where rho(x . y) != rho(x) . rho(y)."""
         s = self.summary
+        images = {r: self._images(r) for r in self.matrices}
         bad = []
         for p in range(s.max_degree + 1):
             for q in range(p, s.max_degree + 1 - p):
-                if p not in self.matrices or q not in self.matrices \
-                        or p + q not in self.matrices:
+                if not {p, q, p + q} <= images.keys():
                     continue
                 for i, ri in enumerate(s.representatives[p]):
                     for j, rj in enumerate(s.representatives[q]):
                         _, prod = s.class_coords(ri * rj, degree=p + q)
                         lhs = self.matrices[p + q].apply(prod)
-                        x = self.matrices[p].apply(
-                            tuple(Fraction(t == i) for t in range(s.betti[p])))
-                        y = self.matrices[q].apply(
-                            tuple(Fraction(t == j) for t in range(s.betti[q])))
-                        rx = s.rep_combination(p, x)
-                        ry = s.rep_combination(q, y)
-                        _, rhs = s.class_coords(rx * ry, degree=p + q)
-                        if tuple(lhs) != tuple(rhs):
+                        _, rhs = s.class_coords(images[p][i] * images[q][j],
+                                                degree=p + q)
+                        if lhs != rhs:
                             bad.append((p, i, q, j))
         return bad
 
@@ -286,15 +291,21 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
     Degree r of the torus is ker(rho*-id on H^r) plus nu wedge the cokernel
     of (rho*-id on H^{r-1}); the result is packaged as the cohomology of a
     tabular algebra with zero differential, labels "k<r>.<i>" for the
-    invariant part and "nu", "nu.k<r>.<i>" for the nu-parts.
+    invariant part and "nu", "nu.k<r>.<i>" for the nu-parts.  Invariant
+    classes are the kernel's RREF rows; cokernel coordinates come from one
+    LinearSolver per degree.
     """
     n = h.max_degree
-    kers, cokers, ims = {}, {}, {}
+    kers, kelems, cokers, ims, solvers = {}, {}, {}, {}, {}
     for r in range(n + 1):
         m = rho.matrix(r)
-        a = Matrix([[m.data[i][j] - Fraction(i == j) for j in range(m.cols)]
-                    for i in range(m.rows)], cols=m.cols)
+        # rho* - id over m's denominator: the diagonal loses den
+        a = Matrix._of_int(
+            [{j: x for j, x in {**row, i: row.get(i, 0) - m._den}.items() if x}
+             for i, row in enumerate(m._int)], m.cols, m._den)
         kers[r] = exactla.kernel(a)
+        kelems[r] = list(_row_elements(h.ctx.algebra, kers[r],
+                                       h.representatives[r]))
         ims[r] = exactla.image(a)
         cokers[r] = exactla.quotient_basis(
             exactla.image(Matrix.identity(h.betti[r])), ims[r])
@@ -314,9 +325,10 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
             basis.append((nlab(r, i), r))
 
     def coker_coords(r, vec):
-        cols = [{i: 1} for i in cokers[r]] + ims[r]._rows
-        x = exactla.solve(Matrix._of_columns(cols, h.betti[r]), vec)
-        return x[:len(cokers[r])]
+        if r not in solvers:    # the columns span H^r: every class solves
+            solvers[r] = exactla.LinearSolver(
+                [{i: 1} for i in cokers[r]] + ims[r]._rows, h.betti[r])
+        return solvers[r].solve(vec)[:len(cokers[r])]
 
     products = {}
 
@@ -327,26 +339,21 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
 
     for r in range(1, n + 1):
         for rr in range(r, n + 1 - r):
-            for i, vi in enumerate(kers[r].basis):
-                ei = h.rep_combination(r, vi)
-                for j, vj in enumerate(kers[rr].basis):
+            for i, ei in enumerate(kelems[r]):
+                for j, ej in enumerate(kelems[rr]):
                     if (r, i) > (rr, j):
                         continue
-                    _, prod = h.class_coords(ei * h.rep_combination(rr, vj),
-                                             degree=r + rr)
+                    _, prod = h.class_coords(ei * ej, degree=r + rr)
                     coeffs = kers[r + rr].coordinates(prod)
                     put(klab(r, i), klab(rr, j),
                         {klab(r + rr, t): c for t, c in enumerate(coeffs)})
     for r in range(1, n + 2):           # nu-part times invariant part
         for rr in range(1, n + 2 - r):
+            prod_deg = r - 1 + rr       # at most n
             for i, ci in enumerate(cokers[r - 1]):
                 ec = h.representatives[r - 1][ci]
-                for j, vj in enumerate(kers[rr].basis):
-                    prod_deg = r - 1 + rr
-                    if prod_deg > n:
-                        continue
-                    _, prod = h.class_coords(ec * h.rep_combination(rr, vj),
-                                             degree=prod_deg)
+                for j, ej in enumerate(kelems[rr]):
+                    _, prod = h.class_coords(ec * ej, degree=prod_deg)
                     coeffs = coker_coords(prod_deg, prod)
                     put(nlab(r, i), klab(rr, j),
                         {nlab(prod_deg + 1, t): c

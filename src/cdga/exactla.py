@@ -3,12 +3,13 @@
 Inside this module a vector is a sparse integer row, a {col: int} map of
 its nonzero entries, the form the fraction-free kernel in cdga._core works
 on.  A Matrix holds one exact form, built once: its rows as {col: int} maps
-over one common denominator, the lcm of every entry's denominator.
-kernel, image, rank and LinearSolver read those rows; image and
-LinearSolver read them as columns, which is why the scale is one for the
-whole matrix and not one per row.  A Fraction vector enters once, through
-_to_int_row (scaled by the lcm of its denominators); rows are eliminated
-with _core.rref_int.  A subspace is its primitive RREF rows and their pivot
+over one common denominator.  Any common denominator serves, since
+rref_int's rows are primitive whatever the scale of its input and Matrix
+equality compares data.  kernel, image and rank read those rows; image
+reads them as columns, which is why the scale is one for the whole matrix
+and not one per row.  A Fraction vector enters once, through _to_int_row
+(scaled by the lcm of its denominators); rows are eliminated with
+_core.rref_int.  A subspace is its primitive RREF rows and their pivot
 columns; quotient_basis returns indices of such rows.  Dense Fraction
 tuples are built only where a caller reads them: Matrix.data and
 Subspace.basis (each on first read), rref_rows and LinearSolver.solve.
@@ -17,16 +18,16 @@ _residual reduces a vector against a {pivot column: row} map with _core's
 row update _clear, in ascending pivot order, so its work follows the
 vector's pivot columns rather than the number of rows.
 
-LinearSolver eliminates m's columns, column j carrying e_j in a tail whose
-order is reversed ([m^T | J]).  A pivot left of the tail gives a row v of
-the RREF of m's column space, with its tail a u such that m u = v.  A
-column j that depends on the columns before it gives a kernel vector whose
-support ends at j; reversed, its leading entry is j's tail position, so
-the tail pivots are m's free columns and full reduction leaves every u
-zero there.  Summing the u over b's coordinates on the RREF thus gives the
-solution with free variables zero, as a row elimination of [m | b] does.
-Pivot choice is always the first nonzero entry in column order, so every
-derived basis is deterministic.
+LinearSolver eliminates m's integer columns, as its callers hold them,
+column j carrying e_j in a tail whose order is reversed ([m^T | J]).  A
+pivot left of the tail gives a row v of the RREF of m's column space, with
+its tail a u such that m u = v.  A column j that depends on the columns
+before it gives a kernel vector whose support ends at j; reversed, its
+leading entry is j's tail position, so the tail pivots are m's free columns
+and full reduction leaves every u zero there.  Summing the u over b's
+coordinates on the RREF thus gives the solution with free variables zero,
+as a row elimination of [m | b] does.  Pivot choice is always the first
+nonzero entry in column order, so every derived basis is deterministic.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class Matrix:
     """An immutable rows x cols matrix of rationals.
 
     Row r is _int[r] / _den: a {col: int} map of the nonzero entries scaled
-    by _den, the lcm of the denominators of all entries.  data, the Fraction
-    row tuples, is built on first read.
+    by _den, a common denominator of all entries.  data, the Fraction row
+    tuples, is built on first read.
     """
 
     __slots__ = ("rows", "cols", "_den", "_int", "_data")
@@ -117,8 +118,7 @@ class Matrix:
 
     @classmethod
     def _of_int(cls, rows, cols, den):
-        """The matrix whose rows are the {col: int} maps `rows` over den,
-        with den already the lcm of the entries' denominators."""
+        """The matrix whose rows are the {col: int} maps `rows` over den."""
         m = cls.__new__(cls)
         m.rows, m.cols, m._den, m._int, m._data = len(rows), cols, den, rows, None
         return m
@@ -159,9 +159,8 @@ class Matrix:
         return cls._of_int([{i: 1} for i in range(n)], n, 1)
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._den == other._den
-                and self._int == other._int)
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self.data == other.data)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -195,20 +194,12 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         # m's columns reduce to I, row i to p * e_i with p its pivot entry,
         # and m u = p * e_i makes u / p column i of the inverse
-        solver = LinearSolver(self)
+        solver = LinearSolver(self._columns(), self.rows, self._den)
         if len(solver._echelon) != self.rows:
             raise NoSolution("matrix is singular")
         return Matrix._of_columns(
             [{j: Fraction(x, solver._echelon[i][i]) for j, x in u.items()}
              for i, u in solver._preimage.items()], self.rows)
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions disagree")
-        ot = other.transpose()
-        return Matrix([[sum((a * b for a, b in zip(row, col)), Fraction(0))
-                        for col in ot.data] for row in self.data],
-                      cols=other.cols)
 
 
 class Subspace:
@@ -301,20 +292,22 @@ def image(m: Matrix) -> Subspace:
 
 def solve(m: Matrix, b):
     """One solution of m x = b (free variables set to 0); NoSolution if none."""
-    return LinearSolver(m).solve(b)
+    return LinearSolver(m._columns(), m.rows, m._den).solve(b)
 
 
 class LinearSolver:
-    """Repeated solving of m x = b: the elimination is done once, on
-    [m^T | J] (see the module docstring).  Free variables are set to zero.
+    """Repeated solving of m x = b, m the nrows x len(columns) matrix whose
+    column j is the {row: int} map columns[j] over den: the elimination is
+    done once, on [m^T | J] (see the module docstring).  Free variables are
+    set to zero.
     """
 
-    def __init__(self, m: Matrix):
-        self.rows = n = m.rows
-        self.cols = m.cols
-        last = n + m.cols - 1    # the tail position of column 0
-        aug = [{**col, last - j: m._den} for j, col in enumerate(m._columns())]
-        reduced, pivots = _rref(aug, n + m.cols)
+    def __init__(self, columns, nrows, den=1):
+        self.rows = n = nrows
+        self.cols = len(columns)
+        last = n + self.cols - 1    # the tail position of column 0
+        aug = [{**col, last - j: den} for j, col in enumerate(columns)]
+        reduced, pivots = _rref(aug, n + self.cols)
         self._echelon = {}       # pivot -> row of the column-space RREF
         self._preimage = {}      # pivot -> {column of m: int}, m u = that row
         for row, pc in zip(reduced, pivots):

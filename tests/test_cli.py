@@ -248,6 +248,16 @@ BAD_AUTOMORPHISMS = {
         "kind": "partial", "top_degree": 6, "matrices": {}}),
     "singular_full_matrix": json.dumps({
         "kind": "full", "matrices": {"2": [["1", "0"], ["1", "0"]]}}),
+    "singular_partial_matrix": json.dumps({
+        "kind": "partial", "top_degree": 7,
+        "matrices": {"2": [["1", "0"], ["1", "0"]]}}),
+    "misshapen_full_matrix": json.dumps({
+        "kind": "full", "matrices": {"2": [["1", "0"]]}}),
+    "misshapen_partial_matrix": json.dumps({
+        "kind": "partial", "top_degree": 7, "matrices": {"2": [["1", "0"]]}}),
+    "ragged_partial_matrix": json.dumps({
+        "kind": "partial", "top_degree": 7,
+        "matrices": {"2": [["1", "0"], ["1"]]}}),
     # invertible in every degree, but it doubles one degree-5 class only,
     # so it breaks the cup products H^2 x H^5 -> H^7
     "full_not_cup_compatible": json.dumps({"kind": "full", "matrices": {
@@ -257,6 +267,10 @@ BAD_AUTOMORPHISMS = {
 AUTOMORPHISM_FIELDS = {"top_degree_out_of_range": "top_degree",
                        "top_degree_without_a_top_class": "top_degree",
                        "singular_full_matrix": "matrices",
+                       "singular_partial_matrix": "matrices",
+                       "misshapen_full_matrix": "matrices",
+                       "misshapen_partial_matrix": "matrices",
+                       "ragged_partial_matrix": "matrices",
                        "full_not_cup_compatible": "matrices"}
 
 BAD_CORPUS_ARGS = {

@@ -249,9 +249,6 @@ class TestChainComplex:
             for b in chain.basis(k):
                 e = obj.algebra.from_terms({b: Fraction(3, 4)})
                 assert obj.d(e) == naive_d(obj, e)
-        # d(x) = ab/2 alone in degree 3: the matrix scale drops to 2
-        assert chain.d_matrix(3)._den == 2
-        assert chain.d_matrix(5)._den == 18
 
     def test_summary_shares_its_chain_complex(self, q111):
         s = compute(q111, 3, with_cup=False)

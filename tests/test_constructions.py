@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdga.cohomology import compute
 from cdga.constructions import (CohomologyAutomorphism, EulerData,
@@ -13,8 +15,9 @@ from cdga.constructions import (CohomologyAutomorphism, EulerData,
                                 s1s2_bundle_cp2_model, s2_cubed_model,
                                 s3_bundle_model, s4_model, s_k_model,
                                 x6_model)
-from cdga.errors import (NotACocycle, ParamOutOfRange, UnknownCorpusEntry,
-                         WrongDegree)
+from cdga.dga import TabularDGA
+from cdga.errors import (DegreeGap, NotACocycle, ParamOutOfRange,
+                         UnknownCorpusEntry, WrongDegree)
 
 from conftest import gysin_betti, sphere_product_tabular
 
@@ -166,7 +169,7 @@ class TestAutomorphisms:
             "y": dga.gen("y")})
         assert rho.cup_compatibility_failures() == []
         m2 = rho.matrix(2)
-        assert m2.matmul(m2) == m2.identity(2)
+        assert m2.inverse() == m2
         assert m2 != m2.identity(2)
 
     def test_duality_completion_agrees_with_chain_automorphism(self, q_summary):
@@ -184,6 +187,88 @@ class TestAutomorphisms:
     def test_singular_matrix_rejected(self, q_summary):
         with pytest.raises(ValueError):
             CohomologyAutomorphism(q_summary, {2: [[1, 0], [1, 0]]})
+
+    @pytest.mark.parametrize("r", [-1, 9])
+    def test_degree_out_of_range(self, r):
+        # the W model has b = 1,0,1,0,0,1,0,1: degree -1 must not read b_7
+        h = compute(lens_bundle_cp2_model(1), 7, with_cup=False)
+        with pytest.raises(DegreeGap, match=r"0\.\.7"):
+            CohomologyAutomorphism(h, {r: [[1]]})
+        with pytest.raises(DegreeGap, match=r"0\.\.7"):
+            CohomologyAutomorphism.from_partial(h, {r: [[1]]}, top_degree=7)
+        with pytest.raises(DegreeGap, match=r"0\.\.7"):
+            CohomologyAutomorphism.from_partial(h, {}, top_degree=r)
+
+    def test_degenerate_pairing_cannot_complete(self):
+        # H(S^1 v S^2 v S^3): every cup product vanishes, so the pairing
+        # H^1 x H^2 -> H^3 is zero and gives no degree-2 matrix
+        h = compute(TabularDGA([("1", 0), ("x", 1), ("y", 2), ("z", 3)]), 3,
+                    with_cup=False)
+        with pytest.raises(DegreeGap,
+                           match="cannot complete degree 2 by duality"):
+            CohomologyAutomorphism.from_partial(h, {1: [[1]]}, top_degree=3)
+
+
+def _det(rows):
+    """The determinant of a matrix of at most 2 x 2."""
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    return rows[0][0] if rows else 1
+
+
+def invertible(n):
+    """Invertible n x n integer matrices, n <= 2, as lists of rows."""
+    return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=n, max_size=n).filter(_det)
+
+
+@pytest.fixture(scope="module")
+def q_cup():
+    return compute(q_model((1, 1, 1)), 7, with_cup=True).cup
+
+
+class TestCupTableOracle:
+    """Automorphisms of H(Q(1,1,1)) against the cup table of its summary:
+    with rho(x_i) = sum_a M[a][i] x_a, the products of images follow from
+    the table alone.  max_examples comes from the hypothesis profile."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_cup_compatibility_failures(self, q_summary, q_cup, data):
+        b = q_summary.betti
+        mats = {r: data.draw(invertible(b[r])) for r in range(8)}
+        want = []
+        for p in range(8):
+            for q in range(p, 8 - p):
+                for i in range(b[p]):
+                    for j in range(b[q]):
+                        image_of_product = [
+                            sum(mats[p + q][t][u] * q_cup[p, i, q, j][u]
+                                for u in range(b[p + q]))
+                            for t in range(b[p + q])]
+                        product_of_images = [
+                            sum(mats[p][a][i] * mats[q][c][j]
+                                * q_cup[p, a, q, c][t]
+                                for a in range(b[p]) for c in range(b[q]))
+                            for t in range(b[p + q])]
+                        if image_of_product != product_of_images:
+                            want.append((p, i, q, j))
+        rho = CohomologyAutomorphism(q_summary, mats)
+        assert rho.cup_compatibility_failures() == want
+
+    @settings(deadline=None)
+    @given(st.sampled_from([2, 5]), invertible(2), st.sampled_from([1, -1]))
+    def test_duality_completion_preserves_the_pairing(self, q_summary, q_cup,
+                                                      r, m, sign):
+        rho = CohomologyAutomorphism.from_partial(q_summary, {r: m},
+                                                  top_degree=7, top_sign=sign)
+        cr = 7 - r        # the one degree the completion derives
+        done = rho.matrix(cr).data
+        for i in range(2):
+            for j in range(2):
+                paired = sum(m[a][i] * done[c][j] * q_cup[r, a, cr, c][0]
+                             for a in range(2) for c in range(2))
+                assert paired == sign * q_cup[r, i, cr, j][0], (i, j)
 
 
 class TestMappingTorus:
