@@ -90,9 +90,8 @@ def _envelope(query, input_text, result, witnesses=None, provenance=None):
 
 
 def _emit(doc, stream=None):
-    stream = stream or sys.stdout
-    json.dump(doc, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    (stream or sys.stdout).write(json.dumps(doc, indent=2, sort_keys=True)
+                                 + "\n")
 
 
 # -- commands --------------------------------------------------------------
@@ -275,39 +274,24 @@ def _build_automorphism(summary, doc):
 
 
 def cmd_corpus(args):
-    params = {}
+    params = {key: getattr(args, key) for key in ("k", "l", "N", "rho")
+              if getattr(args, key) is not None}
     if args.e is not None:
         params["e"] = tuple(modelfile.parse_rational(v, "e")
                             for v in args.e.split(","))
-    for key in ("k", "l"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
     if args.epsilon is not None:
         params["epsilon"] = [modelfile.parse_rational(v, "epsilon")
                              for v in args.epsilon.split(",")]
-    if args.N is not None:
-        params["N"] = args.N
     if args.f is not None:
         params["f"] = modelfile.parse_rational(args.f, "f")
-    if args.rho is not None:
-        params["rho"] = args.rho
     entry = constructions.corpus(args.name, **params)
+    result = {"kind": entry.kind, "dimension": entry.dimension,
+              "parameters": entry.parameters}
+    obj = entry.obj
     if entry.kind == "cohomology":
-        result = {
-            "kind": entry.kind,
-            "dimension": entry.dimension,
-            "parameters": entry.parameters,
-            "betti": list(entry.obj.betti),
-            "model": modelfile.render_model(entry.obj.source),
-        }
-    else:
-        result = {
-            "kind": entry.kind,
-            "dimension": entry.dimension,
-            "parameters": entry.parameters,
-            "model": modelfile.render_model(entry.obj),
-        }
+        result["betti"] = list(obj.betti)
+        obj = obj.source
+    result["model"] = modelfile.render_model(obj)
     return _envelope({"command": "corpus", "name": args.name,
                       "parameters": entry.parameters},
                      None, result, provenance=entry.provenance), 0

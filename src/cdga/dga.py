@@ -2,7 +2,8 @@
 
 A Differential is given on generators and extended by the graded Leibniz
 rule d(a*b) = (da)*b + (-1)^{|a|} a*(db).  Validation checks d о d = 0 on
-generators, which suffices by Leibniz.
+generators, which suffices by Leibniz.  TabularDGA.validate reads its table
+in one pass, integral coefficients as ints, and sorts only the failures.
 
 Both kinds keep their generator images once more as {key: int} maps over
 one common denominator, d_den.  d_pairs(key) gives d of one basis key as
@@ -32,6 +33,23 @@ def _over(terms, den):
     """The {key: Fraction} map terms as {key: int} over den, a multiple of
     every denominator in it."""
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _entry(index, val):
+    """The {label: coefficient} map val as an {index[label]: Fraction} map
+    of its nonzero coefficients; a Fraction is kept, not converted."""
+    return {index[lab]: f for lab, c in val.items()
+            if (f := c if type(c) is Fraction else Fraction(c))}
+
+
+def _failures(width, *parts):
+    """The sorted key[:width] of keys whose (key, value) pairs sum to
+    nonzero over the parts."""
+    sums = {}
+    for part in parts:
+        for key, v in part:
+            sums[key] = sums.get(key, 0) + v
+    return sorted({key[:width] for key, v in sums.items() if v})
 
 
 def _sum_pairs(d_pairs, den, terms):
@@ -211,40 +229,35 @@ class TabularDGA:
             self._by_degree.setdefault(d, []).append(i)
 
         self.table = {}
-        products = products or {}
-        for (la, lb), val in products.items():
-            ia, ib = self.index[la], self.index[lb]
-            entry = {self.index[lk]: Fraction(c) for lk, c in val.items()
-                     if Fraction(c)}
-            if self.unit in (ia, ib):
-                other = ib if ia == self.unit else ia
+        index, degrees, unit = self.index, self.degrees, self.unit
+        for (la, lb), val in (products or {}).items():
+            ia, ib = index[la], index[lb]
+            entry = _entry(index, val)
+            if unit in (ia, ib):
+                other = ib if ia == unit else ia
                 if entry != {other: 1}:
                     raise ValueError(f"product {la}*{lb} with the unit must "
                                      f"be {self.labels[other]}")
                 continue
+            deg = degrees[ia] + degrees[ib]
             for k in entry:
-                if self.degrees[k] != self.degrees[ia] + self.degrees[ib]:
+                if degrees[k] != deg:
                     raise WrongDegree(
                         f"product {la}*{lb} hits {self.labels[k]} of wrong degree")
             self.table[(ia, ib)] = entry
-            flip = (ib, ia)
-            sign = -1 if (self.degrees[ia] % 2 and self.degrees[ib] % 2) else 1
-            flipped = {k: sign * c for k, c in entry.items()}
-            if flip in self.table and flip != (ia, ib):
-                if self.table[flip] != flipped:
+            if ia != ib:
+                flipped = ({k: -c for k, c in entry.items()} if degrees[ia] % 2
+                           and degrees[ib] % 2 else entry.copy())
+                if self.table.setdefault((ib, ia), flipped) != flipped:
                     raise ValueError(
                         f"product table not graded-commutative at {la},{lb}")
-            elif flip != (ia, ib):
-                self.table[flip] = flipped
 
         self.diff = {}
-        differential = differential or {}
-        for lab, val in differential.items():
-            i = self.index[lab]
-            entry = {self.index[lk]: Fraction(c) for lk, c in val.items()
-                     if Fraction(c)}
+        for lab, val in (differential or {}).items():
+            i = index[lab]
+            entry = _entry(index, val)
             for k in entry:
-                if self.degrees[k] != self.degrees[i] + 1:
+                if degrees[k] != degrees[i] + 1:
                     raise WrongDegree(f"d({lab}) has a wrong-degree component")
             if entry:
                 self.diff[i] = entry
@@ -306,97 +319,61 @@ class TabularDGA:
         Products that would land above the top basis degree are taken to be
         zero, which is consistent for algebras truncated at a top class.
         __init__ completes the table by graded commutativity and rejects
-        conflicting orders, so only the square of an odd class can still
-        break commutativity: it must vanish.
+        conflicting orders, so only an odd square can still break
+        commutativity: it must vanish.
 
-        Only candidates that can fail are checked, in lexicographic order.
-        A basis product x*y can be nonzero only if y is a partner of x: the
-        unit, any class if x is the unit, or a class with a nonzero table
-        entry.  Associativity is checked on triples of nonunit classes where
-        a class of i*j has k as a partner or a class of j*k has i as one (both
-        sides vanish otherwise, and mul_basis makes every triple through the
-        unit associative); Leibniz on pairs where i*j is a nonunit product
-        with a nonzero entry, or a class of d(i) has j as a partner, or a
-        class of d(j) has i as one (both sides vanish otherwise, and agree on
-        a unit pair whose d(i)*j and i*d(j) vanish).
-
-        Each identity is compared on {index: int} maps: the product table is
-        scaled by D, the lcm of its entries' denominators (so a product with
-        the unit is {j: D}), and the differential is the integer one d_pairs
-        reads, over E = d_den.  Associativity then holds at scale D^2, d^2 = 0 at E^2 and
-        Leibniz at D*E; both sides carry the same positive scale, so the
-        integer maps agree exactly when the rational ones do.
+        One pass over the table builds left[i] = {j: i*j} and right[j] =
+        {i: i*j} for the nonzero basis products, the unit's included, with
+        integral coefficients as ints; d is the integer one over d_den, a
+        common scale of each identity's terms.  Each nonzero term adds its
+        classes into lhs - rhs at (candidate, class), so only candidates
+        with a nonzero term are formed, each once: no triple through the
+        unit, which is associative, and none above the top degree, since a
+        nonzero product lands on basis classes.  A candidate fails where a
+        sum is nonzero; only the failures are sorted, into lexicographic
+        order.
         """
-        problems = []
-        n = len(self.labels)
-        unit, degrees = self.unit, self.degrees
-        for i in range(n):
-            if degrees[i] % 2 and self.mul_basis(i, i):
-                problems.append(f"commutativity fails at "
-                                f"{self.labels[i]},{self.labels[i]}")
-        nonzero = {(i, j): entry for (i, j), entry in self.table.items()
-                   if entry and unit not in (i, j)}
-        big_d = math.lcm(*(c.denominator for entry in nonzero.values()
-                           for c in entry.values()))
-        table = {key: _over(entry, big_d) for key, entry in nonzero.items()}
-        diff = self._d_int
-        empty = {}
-
-        def mul(i, j):
-            if i == unit:
-                return {j: big_d}
-            if j == unit:
-                return {i: big_d}
-            return table.get((i, j), empty)
-
-        def d_of(l):
-            return diff.get(l, empty)
-
-        def residual(*parts):
-            """Whether the sum over the parts (s, terms, row) of s * c * row(l),
-            for each (l, c) of terms, is nonzero."""
-            out = {}
-            for s, terms, row in parts:
-                for l, c in terms.items():
-                    c *= s
-                    for k, x in row(l).items():
-                        out[k] = out.get(k, 0) + c * x
-            return any(out.values())
-
-        partners = {i: {unit} for i in range(n)}
-        partners[unit] = set(range(n))
-        for i, j in nonzero:
-            partners[i].add(j)
-        triples = sorted(
-            {(i, j, k) for (i, j), entry in nonzero.items()
-             for l in entry for k in partners[l]}
-            | {(i, j, k) for (j, k), entry in nonzero.items()
-               for l in entry for i in partners[l]})
-        for i, j, k in triples:
-            if (unit in (i, k)
-                    or degrees[i] + degrees[j] + degrees[k] > self.max_degree):
-                continue
-            if residual((1, mul(i, j), lambda l: mul(l, k)),
-                        (-1, mul(j, k), lambda l: mul(i, l))):
-                problems.append(
-                    "associativity fails at "
-                    f"{self.labels[i]},{self.labels[j]},{self.labels[k]}")
-        for i in range(n):
-            if residual((1, d_of(i), d_of)):
-                problems.append(f"d^2 nonzero on {self.labels[i]}")
-        pairs = sorted({(i, j) for i, image in self.diff.items()
-                        for l in image for j in partners[l]}
-                       | {(i, j) for j, image in self.diff.items()
-                          for l in image for i in partners[l]}
-                       | set(nonzero))
-        for i, j in pairs:
-            sign = 1 if degrees[i] % 2 else -1
-            if residual((1, mul(i, j), d_of),
-                        (-1, d_of(i), lambda l: mul(l, j)),
-                        (sign, d_of(j), lambda l: mul(i, l))):
-                problems.append(f"Leibniz fails at "
-                                f"{self.labels[i]},{self.labels[j]}")
-        return problems
+        labels, degrees, unit = self.labels, self.degrees, self.unit
+        n, diff, empty = len(labels), self._d_int, {}
+        left, right = [{} for _ in range(n)], [{} for _ in range(n)]
+        nonzero = []
+        for (i, j), entry in self.table.items():
+            if entry:
+                row = left[i][j] = right[j][i] = {
+                    k: c.numerator if c.denominator == 1 else c
+                    for k, c in entry.items()}
+                nonzero.append((i, j, row))
+        for x in range(n):
+            left[x][unit] = right[x][unit] = left[unit][x] = \
+                right[unit][x] = {x: 1}
+        # the terms of lhs - rhs at (candidate, class of the result)
+        assoc = _failures(
+            3, (((i, j, k, m), c * x) for i, j, row in nonzero       # (ij)k
+                for l, c in row.items() for k, lk in left[l].items()
+                if k != unit for m, x in lk.items()),
+            (((i, j, k, m), -c * x) for j, k, row in nonzero        # i(jk)
+             for l, c in row.items() for i, il in right[l].items()
+             if i != unit for m, x in il.items()))
+        leibniz = _failures(
+            2, (((i, j, m), c * x) for i in range(n)                # d(ij)
+                for j, ij in left[i].items() for l, c in ij.items()
+                for m, x in diff.get(l, empty).items()),
+            (((i, j, m), -c * x) for i, image in diff.items()       # d(i)j
+             for l, c in image.items() for j, lj in left[l].items()
+             for m, x in lj.items()),
+            (((i, j, m), c * x if degrees[i] % 2 else -c * x)       # i d(j)
+             for j, image in diff.items() for l, c in image.items()
+             for i, il in right[l].items() for m, x in il.items()))
+        d2 = _failures(1, (((i, m), c * x) for i, image in diff.items()
+                           for l, c in image.items()
+                           for m, x in diff.get(l, empty).items()))
+        return ([f"commutativity fails at {labels[i]},{labels[i]}"
+                 for i in range(n) if degrees[i] % 2 and i in left[i]]
+                + [f"associativity fails at {labels[i]},{labels[j]},"
+                   f"{labels[k]}" for i, j, k in assoc]
+                + [f"d^2 nonzero on {labels[i]}" for i, in d2]
+                + [f"Leibniz fails at {labels[i]},{labels[j]}"
+                   for i, j in leibniz])
 
     def mul_terms(self, a, b):
         """Product of two {basis index: coefficient} maps, as such a map."""

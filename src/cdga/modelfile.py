@@ -17,6 +17,10 @@ Tabular form:
      "metadata": {...}}
 
 Parameters are rationals substituted into expressions at parse time.
+"differential", "parameters", "metadata", products[i].value and
+differential.<label> are JSON objects or null.  Each label read must name a
+basis class ("unknown basis label" at its field, e.g. products[i].left or
+differential.<label>.z), and a (left, right) pair may appear once.
 Rendering is canonical: parse(render(obj)) rebuilds an identical model, and
 render(parse(doc)) is the identity on canonical documents.
 """
@@ -34,11 +38,53 @@ from .gca import Algebra
 
 
 def parse_rational(value, field):
-    """A Fraction from a JSON number or string; ModelSyntaxError if bad."""
+    """Fraction(str(value)) from a JSON number or string, by int() for a
+    string of an integer without "_"; ModelSyntaxError if bad."""
+    if type(value) is str and "_" not in value:
+        try:
+            return Fraction(int(value))
+        except ValueError:
+            pass
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise ModelSyntaxError(f"bad rational {value!r}", field=field) from None
+
+
+def _object(value, field, *args):
+    """value if a JSON object, {} if null; else ModelSyntaxError at
+    field.format(*args), a name built only then."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ModelSyntaxError("expected a JSON object",
+                               field=field.format(*args))
+    return value
+
+
+def _label(value, labels, field, *args):
+    """str(value) if it is a basis label; else ModelSyntaxError at
+    field.format(*args), a name built only then."""
+    lab = str(value)
+    if lab not in labels:
+        raise ModelSyntaxError(f"unknown basis label {lab!r}",
+                               field=field.format(*args))
+    return lab
+
+
+def _coefficients(value, labels, field, key):
+    """The {label: Fraction} map of a JSON object of rationals keyed by
+    basis labels, {} for null; an error names field.format(key) or one of
+    its labels."""
+    out = {}
+    for lab, c in _object(value, field, key).items():
+        lab = _label(lab, labels, field + ".{}", key, lab)
+        try:
+            out[lab] = parse_rational(c, None)
+        except ModelSyntaxError as exc:
+            exc.field = f"{field.format(key)}.{lab}"
+            raise
+    return out
 
 
 def parse_integer(value, field):
@@ -78,14 +124,15 @@ def _parse_free(doc):
     except ValueError as exc:
         raise ModelSyntaxError(str(exc), field="generators") from None
     params = {str(k): parse_rational(v, f"parameters.{k}")
-              for k, v in (doc.get("parameters") or {}).items()}
+              for k, v in _object(doc.get("parameters"),
+                                  "parameters").items()}
     clash = set(params) & {g.name for g in alg.generators}
     if clash:
         raise ModelSyntaxError(
             f"parameters shadow generators: {sorted(clash)}",
             field="parameters")
     images = {}
-    diff_doc = doc.get("differential") or {}
+    diff_doc = _object(doc.get("differential"), "differential")
     degrees = {g.name: g.degree for g in alg.generators}
     for name, text in diff_doc.items():
         field = f"differential.{name}"
@@ -107,7 +154,7 @@ def _parse_free(doc):
     if report.d2_failures:
         name, witness = report.d2_failures[0]
         raise D2NonZero(f"d(d({name})) = {witness}")
-    return dga, dict(doc.get("metadata") or {})
+    return dga, dict(_object(doc.get("metadata"), "metadata"))
 
 
 def _parse_tabular(doc):
@@ -119,33 +166,33 @@ def _parse_tabular(doc):
                                    field=field)
         basis.append((str(b["label"]),
                       parse_integer(b["degree"], f"{field}.degree")))
+    labels = {lab for lab, _ in basis}
     products = {}
     for i, p in enumerate(doc.get("products", [])):
-        field = f"products[{i}]"
         if not isinstance(p, dict) or "left" not in p or "right" not in p:
             raise ModelSyntaxError("product entry needs left and right",
-                                   field=field)
-        value = {str(lab): parse_rational(c, f"{field}.value.{lab}")
-                 for lab, c in (p.get("value") or {}).items()}
-        products[(str(p["left"]), str(p["right"]))] = value
-    differential = {
-        str(lab): {str(lk): parse_rational(c, f"differential.{lab}.{lk}")
-                   for lk, c in (val or {}).items()}
-        for lab, val in (doc.get("differential") or {}).items()}
+                                   field=f"products[{i}]")
+        pair = (_label(p["left"], labels, "products[{}].left", i),
+                _label(p["right"], labels, "products[{}].right", i))
+        if pair in products:
+            raise ModelSyntaxError(f"second product entry for {pair[0]}*"
+                                   f"{pair[1]}", field=f"products[{i}]")
+        products[pair] = _coefficients(p.get("value"), labels,
+                                       "products[{}].value", i)
+    differential = {}
+    for lab, val in _object(doc.get("differential"), "differential").items():
+        lab = _label(lab, labels, "differential.{}", lab)
+        differential[lab] = _coefficients(val, labels, "differential.{}", lab)
     try:
         tab = TabularDGA(basis, products, differential)
-    except (ValueError, KeyError, WrongDegree) as exc:
+    except (ValueError, WrongDegree) as exc:
         raise ModelSyntaxError(str(exc)) from None
     problems = tab.validate()
     if problems:
         if any("d^2" in p for p in problems):
             raise D2NonZero("; ".join(p for p in problems if "d^2" in p))
         raise ModelSyntaxError("; ".join(problems))
-    return tab, dict(doc.get("metadata") or {})
-
-
-def _frac_str(c):
-    return str(Fraction(c))
+    return tab, dict(_object(doc.get("metadata"), "metadata"))
 
 
 def render_model(obj, metadata=None):
@@ -161,27 +208,18 @@ def render_model(obj, metadata=None):
                 if not obj.differential.of_generator(g.ordinal).is_zero()},
         }
     elif isinstance(obj, TabularDGA):
-        products = []
-        n = len(obj.labels)
-        for i in range(n):
-            for j in range(i, n):
-                if i == obj.unit or j == obj.unit:
-                    continue
-                entry = obj.table.get((i, j))
-                if entry:
-                    products.append({
-                        "left": obj.labels[i], "right": obj.labels[j],
-                        "value": {obj.labels[k]: _frac_str(c)
-                                  for k, c in sorted(entry.items())}})
+        labels = obj.labels
+        products = [{"left": labels[i], "right": labels[j],
+                     "value": {labels[k]: str(c) for k, c in sorted(e.items())}}
+                    for (i, j), e in sorted(obj.table.items()) if i <= j and e]
         doc = {
             "kind": "tabular",
             "basis": [{"label": lab, "degree": deg}
                       for lab, deg in zip(obj.labels, obj.degrees)],
             "products": products,
             "differential": {
-                obj.labels[i]: {obj.labels[k]: _frac_str(c)
-                                for k, c in sorted(entry.items())}
-                for i, entry in sorted(obj.diff.items())},
+                labels[i]: {labels[k]: str(c) for k, c in sorted(e.items())}
+                for i, e in sorted(obj.diff.items())},
         }
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")

@@ -282,6 +282,61 @@ BAD_CORPUS_ARGS = {
 }
 
 
+SPHERE_BASIS = [{"label": "1", "degree": 0}, {"label": "s", "degree": 2},
+                {"label": "t", "degree": 4}, {"label": "u", "degree": 3}]
+
+
+def tabular(**fields):
+    """A tabular model document on SPHERE_BASIS with the given fields."""
+    return {"kind": "tabular", "basis": SPHERE_BASIS, **fields}
+
+
+def free(**fields):
+    """A free model document, d(x) = a^3 unless fields say otherwise."""
+    return {"kind": "free", "differential": {"x": "a^3"}, **fields,
+            "generators": [{"name": "a", "degree": 2},
+                           {"name": "x", "degree": 5}]}
+
+
+# model documents the parser must refuse, and the field each error names
+BAD_MODELS = {
+    "product_value_a_list": (tabular(products=[
+        {"left": "s", "right": "s", "value": [1]}]), "products[0].value"),
+    "product_value_a_string": (tabular(products=[
+        {"left": "s", "right": "s", "value": "t"}]), "products[0].value"),
+    "tabular_differential_a_list": (tabular(differential=[1]),
+                                    "differential"),
+    "tabular_differential_entry_a_number": (tabular(differential={"s": 5}),
+                                            "differential.s"),
+    "tabular_differential_entry_a_list": (
+        tabular(differential={"s": ["u"]}), "differential.s"),
+    "free_differential_a_list": (free(differential=["a^3"]), "differential"),
+    "free_parameters_a_list": (free(parameters=[1]), "parameters"),
+    "free_metadata_a_list": (free(metadata=[1]), "metadata"),
+    "free_metadata_a_string": (free(metadata="note"), "metadata"),
+    "tabular_metadata_a_list": (tabular(metadata=[["a", 1]]), "metadata"),
+    "tabular_metadata_a_string": (tabular(metadata="note"), "metadata"),
+    "second_product_entry": (tabular(products=[
+        {"left": "s", "right": "s", "value": {"t": "1"}},
+        {"left": "s", "right": "s", "value": {"t": "2"}}]), "products[1]"),
+    "unknown_left_label": (tabular(products=[
+        {"left": "z", "right": "s", "value": {"t": "1"}}]),
+        "products[0].left"),
+    "unknown_right_label": (tabular(products=[
+        {"left": "s", "right": "z", "value": {}}]), "products[0].right"),
+    "unknown_value_label": (tabular(products=[
+        {"left": "s", "right": "s", "value": {"z": "1"}}]),
+        "products[0].value.z"),
+    "unknown_value_label_with_zero_coefficient": (tabular(products=[
+        {"left": "s", "right": "s", "value": {"t": "1", "z": "0"}}]),
+        "products[0].value.z"),
+    "unknown_differential_label": (tabular(differential={"z": {"u": "1"}}),
+                                   "differential.z"),
+    "unknown_differential_image_label": (
+        tabular(differential={"s": {"z": "0"}}), "differential.s.z"),
+}
+
+
 def error_of(code, out):
     """The error object of a failed command, after checking its exit code."""
     assert code == 1
@@ -328,6 +383,32 @@ class TestBadInput:
         assert error["kind"] == "ModelSyntaxError"
         assert error["location"]["field"] == "error"
         assert "ParamOutOfRange" in error["detail"]
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODELS))
+    def test_malformed_model(self, case):
+        doc, field = BAD_MODELS[case]
+        error = error_of(*run_cli(["validate", "-"],
+                                  stdin_text=json.dumps(doc)))
+        assert error["kind"] == "ModelSyntaxError"
+        assert error["location"] == {"field": field}
+        if case.startswith("unknown"):
+            assert error["detail"] == "unknown basis label 'z'"
+
+    @pytest.mark.parametrize("value", [{"w": "1"}, {"w": "-1"}])
+    def test_a_pair_given_in_both_orders(self, value):
+        # u*s = w, and s*u = w agrees with it by graded commutativity, while
+        # s*u = -w does not
+        basis = SPHERE_BASIS + [{"label": "w", "degree": 5}]
+        doc = tabular(basis=basis, products=[
+            {"left": "u", "right": "s", "value": {"w": "1"}},
+            {"left": "s", "right": "u", "value": value}])
+        code, out = run_cli(["validate", "-"], stdin_text=json.dumps(doc))
+        if value == {"w": "1"}:
+            assert code == 0 and json.loads(out)["result"]["ok"] is True
+        else:
+            error = error_of(code, out)
+            assert error["detail"] == \
+                "product table not graded-commutative at s,u"
 
     @pytest.mark.parametrize("degree", ["two", 2.5])
     def test_generator_degree_not_an_integer(self, degree):

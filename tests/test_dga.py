@@ -320,6 +320,16 @@ class TestSparseValidate:
         for kind in ("associativity", "d^2", "Leibniz"):
             assert any(p.startswith(kind) for p in problems)
 
+    def test_two_failures_of_each_kind_in_the_oracle_order(self, s3_table):
+        tab = perturbed(s3_table, {("y", "y"): {"a": 1},
+                                   ("y*a", "y*a"): {"nub": 1},
+                                   ("a", "a"): {"nu": 2}},
+                        {"a": {"y*a": 1}, "b": {"y*b": 1}})
+        problems = tab.validate()
+        assert problems == naive_tabular_validate(tab)
+        for kind in ("commutativity", "associativity", "d^2", "Leibniz"):
+            assert sum(p.startswith(kind) for p in problems) >= 2
+
     def test_differential_on_the_unit(self):
         # d(1) = u breaks Leibniz on every pair through the unit whose
         # d(1)*x or x*d(1) is nonzero

@@ -2,15 +2,20 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdga.cohomology import compute
-from cdga.constructions import q_model, s_k_model
+from cdga.constructions import corpus, q_model, s_k_model
 from cdga.dga import DGA, TabularDGA
 from cdga.errors import (D2NonZero, InhomogeneousDifferential,
                          ModelSyntaxError, WrongDegree)
-from cdga.modelfile import loads, parse_model, render_model
+from cdga.modelfile import loads, parse_model, parse_rational, render_model
+
+from conftest import naive_tabular_validate
+from test_dga import broken_tables
 
 
 CP2_DOC = {
@@ -185,3 +190,74 @@ class TestLoads:
         obj, metadata = parse_model(doc)
         assert metadata == {"note": "projective plane"}
         assert render_model(obj, metadata)["metadata"] == metadata
+
+
+# digits, signs, separators and spaces, with non-ASCII digits (Arabic-Indic
+# three, fullwidth one) and spaces (no-break, em space)
+RATIONAL_CHARS = list("0123456789+-/.eE_ \t\n") + ["\u0663", "\uff11",
+                                                     "\u00a0", "\u2003"]
+rational_values = st.one_of(
+    st.text(st.sampled_from(RATIONAL_CHARS), max_size=10),
+    st.from_regex(r"\A\s?[+-]?\d{0,3}(_\d)?([./]\d{0,3})?(e[+-]?\d)?\s?\Z"),
+    st.integers(), st.floats(), st.booleans())
+
+
+class TestParseRational:
+    @settings(deadline=None)
+    @given(rational_values)
+    def test_same_as_fraction_of_str(self, value):
+        try:
+            expected = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ModelSyntaxError) as exc:
+                parse_rational(value, "f")
+            assert exc.value.location() == {"field": "f"}
+        else:
+            got = parse_rational(value, "f")
+            assert type(got) is Fraction and got == expected
+
+    # Fraction refuses "1_000" on Python 3.10, where int() accepts it
+    @pytest.mark.parametrize("text", ["1_000", " 12 ", "+7", "-0", "007",
+                                      "\u0663", "1/0", "1.5", "2e3"])
+    def test_examples(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ModelSyntaxError):
+                parse_rational(text, "f")
+        else:
+            assert parse_rational(text, "f") == expected
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return [s_k_model(3)[0], corpus("w-torus", rho="id").obj.source]
+
+
+class TestTabularRoundTrip:
+    """parse_model(render_model(t)) rebuilds t, and its validation gives the
+    naive oracle's problems, raised as the parser's error."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_broken_tables(self, tables, data):
+        tab = data.draw(broken_tables(data.draw(st.sampled_from(tables))))
+        with mock.patch.object(TabularDGA, "validate", autospec=True,
+                               side_effect=TabularDGA.validate) as spy:
+            try:
+                parse_model(render_model(tab))
+                error = None
+            except (D2NonZero, ModelSyntaxError) as exc:
+                error = exc
+        parsed = spy.call_args.args[0]
+        assert (parsed.labels, parsed.degrees) == (tab.labels, tab.degrees)
+        assert parsed.table == {k: e for k, e in tab.table.items() if e}
+        assert parsed.diff == tab.diff
+        problems = naive_tabular_validate(tab)
+        assert parsed.validate() == problems
+        d2 = [p for p in problems if p.startswith("d^2")]
+        if not problems:
+            assert error is None
+        else:
+            assert type(error) is (D2NonZero if d2 else ModelSyntaxError)
+            assert str(error) == "; ".join(d2 or problems)
