@@ -71,10 +71,6 @@ def _load_model(path):
     return obj, metadata, text
 
 
-def _parse_in(obj, text):
-    return parse_expression(text, obj.algebra)
-
-
 def _envelope(query, input_text, result, witnesses=None, provenance=None):
     return {
         "schema": 1,
@@ -133,7 +129,7 @@ def cmd_massey(args):
     if len(exprs) != 3:
         raise ModelSyntaxError("--classes needs three comma-separated "
                                "expressions", field="classes")
-    a1, a2, a3 = (_parse_in(obj, e) for e in exprs)
+    a1, a2, a3 = (parse_expression(e, obj.algebra) for e in exprs)
     query = {"command": "massey", "file": args.file, "classes": exprs,
              "max_degree": bound}
     try:
@@ -190,7 +186,7 @@ def cmd_formality(args):
 
 def cmd_circle_bundle(args):
     obj, metadata, text = _load_model(args.file)
-    euler = _parse_in(obj, args.euler)
+    euler = parse_expression(args.euler, obj.algebra)
     total = constructions.circle_bundle_model(obj, euler)
     result = {"model": modelfile.render_model(total)}
     return _envelope({"command": "circle-bundle", "file": args.file,
@@ -371,19 +367,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         doc, code = args.fn(args)
-    except CdgaError as exc:
-        error = {"kind": type(exc).__name__, "detail": str(exc)}
+    except (CdgaError, OSError) as exc:
+        error = {"kind": type(exc).__name__ if isinstance(exc, CdgaError)
+                 else "IOError", "detail": str(exc)}
         if isinstance(exc, ModelSyntaxError) and exc.location():
             error["location"] = exc.location()
         _emit({"schema": 1,
                "query": {"command": args.command},
                "error": error,
-               "timestamp": datetime.now(timezone.utc).isoformat()})
-        return 1
-    except OSError as exc:
-        _emit({"schema": 1,
-               "query": {"command": args.command},
-               "error": {"kind": "IOError", "detail": str(exc)},
                "timestamp": datetime.now(timezone.utc).isoformat()})
         return 1
     _emit(doc)

@@ -26,7 +26,7 @@ from . import exactla
 from .dga import DGA, TabularDGA
 from .errors import BoundTooLow, MixedAlgebra, NotACocycle
 from .exactla import Matrix, Subspace
-from .gca import Element, linear_combination
+from .gca import Element
 
 
 class ChainComplex:
@@ -221,18 +221,9 @@ class CohomologySummary:
         # representative i is its row over the row's pivot entry p
         return k, tuple(x[i] * p for i, (_, p) in enumerate(rep_rows))
 
-    def is_zero_class(self, e, degree=None):
-        _, vec = self.class_coords(e, degree)
-        return not any(vec)
-
     def is_exact(self, z):
         """A primitive w with d(w) = z, or None.  z must be a cocycle."""
         return self.ctx.is_exact(z)
-
-    def rep_combination(self, k, vec):
-        """The element sum_i vec[i] * representative_i in degree k."""
-        return self.ctx.algebra.from_terms(linear_combination(
-            (c, r.terms) for c, r in zip(vec, self.representatives[k])))
 
 
 def compute(obj, max_degree, with_cup=True) -> CohomologySummary:

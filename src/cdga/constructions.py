@@ -19,27 +19,16 @@ from .errors import (DegreeGap, NotACocycle, ParamOutOfRange,
                      UnknownCorpusEntry, WrongDegree)
 from .exactla import Matrix
 from .gca import Algebra, Element, linear_combination
-from .sullivan import DgaMorphism, _row_elements
+from .sullivan import DgaMorphism, _row_elements, induced
 
 
-@dataclass
-class EulerData:
-    """A closed element acting as an Euler class, plus a coefficient ledger."""
-    class_expr: object
-    ledger: dict = field(default_factory=dict)
-
-
-def _euler_element(euler):
-    return euler.class_expr if isinstance(euler, EulerData) else euler
-
-
-def circle_bundle_model(base, euler):
-    """base (x) Lambda(y_1) with dy = the Euler class.
+def circle_bundle_model(base, e):
+    """base (x) Lambda(y_1) with dy = e, the Euler class: a closed
+    degree-2 element of base.
 
     A free base gives a free DGA; a tabular base gives the tabular tensor
     with Lambda(nu on one odd generator), labels "y" and "y*<label>".
     """
-    e = _euler_element(euler)
     if not base.d(e).is_zero():
         raise NotACocycle("Euler class is not closed")
     if not e.is_zero() and e.degree() != 2:
@@ -199,11 +188,8 @@ class CohomologyAutomorphism:
         dga = summary.source
         phi = DgaMorphism(dga, dga, gen_images)
         phi.check_chain_map()
-        mats = {}
-        for r in range(summary.max_degree + 1):
-            cols = [summary.class_coords(phi(rep), degree=r)[1]
-                    for rep in summary.representatives[r]]
-            mats[r] = Matrix.from_columns(cols, summary.betti[r])
+        mats = {r: induced(phi, summary, summary, r)
+                for r in range(summary.max_degree + 1)}
         return cls(summary, mats,
                    provenance=["induced by an algebra automorphism that "
                                "commutes with the differential"])
@@ -393,7 +379,7 @@ def q_model(e=(1, 1, 1)) -> DGA:
     expr = alg.zero()
     for i, ei in enumerate(e, start=1):
         expr = expr + alg.gen(f"a{i}") * Fraction(ei)
-    return circle_bundle_model(base, EulerData(expr, {"e": tuple(e)}))
+    return circle_bundle_model(base, expr)
 
 
 def del_pezzo_s2_tabular(k) -> TabularDGA:
@@ -451,7 +437,7 @@ def s_k_model(k, epsilon=None, big_n=None):
         expr = expr - base.gen(f"a{i}") * e
     expr = expr * Fraction(big_n)
     ledger = {"k": k, "epsilon": tuple(eps), "N": big_n}
-    return circle_bundle_model(base, EulerData(expr, ledger)), ledger
+    return circle_bundle_model(base, expr), ledger
 
 
 def x6_model(f=1) -> DGA:
@@ -463,9 +449,9 @@ def x6_model(f=1) -> DGA:
         "y": c * c + a * a * Fraction(f), "x": a ** 3}))
 
 
-def _free_line_model(extra=()):
-    """Lambda(a_1) plus optional extra generators with differentials."""
-    alg = Algebra([("a", 1)] + list(extra))
+def _free_line_model():
+    """Lambda(a_1), d = 0."""
+    alg = Algebra([("a", 1)])
     return DGA(alg, Differential(alg, {}))
 
 

@@ -6,11 +6,11 @@ generators, which suffices by Leibniz.  TabularDGA.validate reads its table
 in one pass, integral coefficients as ints, and sorts only the failures.
 
 Both kinds keep their generator images once more as {key: int} maps over
-one common denominator, d_den.  d_pairs(key) gives d of one basis key as
-(key, int) pairs over d_den: for a free DGA the Leibniz rule on monomial
-tuples, for a tabular one the stored image.  cohomology.ChainComplex
-writes those pairs straight into integer d-matrix rows, and d_terms sums
-them over d_den for an element.
+one common denominator, d_den, as exactla.int_rows scales them.
+d_pairs(key) gives d of one basis key as (key, int) pairs over d_den: for
+a free DGA the Leibniz rule on monomial tuples, for a tabular one the
+stored image.  cohomology.ChainComplex writes those pairs straight into
+integer d-matrix rows, and d_terms sums them over d_den for an element.
 
 TabularDGA is the finite-dimensional counterpart used as a morphism target:
 a basis with a product table and a (possibly zero) differential, e.g. a
@@ -21,18 +21,12 @@ mul_terms), so its elements are gca.Elements keyed by basis index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (InhomogeneousDifferential, MixedAlgebra, WrongDegree)
+from .exactla import int_rows
 from .gca import Algebra, Element, linear_combination
-
-
-def _over(terms, den):
-    """The {key: Fraction} map terms as {key: int} over den, a multiple of
-    every denominator in it."""
-    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
 def _entry(index, val):
@@ -92,10 +86,8 @@ class Differential:
             raise KeyError(f"images for unknown generators: {sorted(unknown)}")
         self.images = imgs
         # the images once more, as {monomial: int} maps over one denominator
-        self.den = math.lcm(*(c.denominator for e in imgs.values()
-                              for c in e.terms.values()))
-        self.int_images = {i: _over(e.terms, self.den)
-                           for i, e in imgs.items()}
+        rows, self.den = int_rows([e.terms for e in imgs.values()])
+        self.int_images = dict(zip(imgs, rows))
 
     def of_generator(self, index):
         return self.images[index]
@@ -261,10 +253,8 @@ class TabularDGA:
                     raise WrongDegree(f"d({lab}) has a wrong-degree component")
             if entry:
                 self.diff[i] = entry
-        self.d_den = math.lcm(*(c.denominator for entry in self.diff.values()
-                                for c in entry.values()))
-        self._d_int = {i: _over(entry, self.d_den)
-                       for i, entry in self.diff.items()}
+        rows, self.d_den = int_rows(list(self.diff.values()))
+        self._d_int = dict(zip(self.diff, rows))
 
     @property
     def algebra(self):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q: rank, kernel, image, solving, quotients.
+"""Exact linear algebra over Q: rank, kernel, image, linear systems, quotients.
 
 Inside this module a vector is a sparse integer row, a {col: int} map of
 its nonzero entries, the form the fraction-free kernel in cdga._core works
@@ -7,12 +7,15 @@ over one common denominator.  Any common denominator serves, since
 rref_int's rows are primitive whatever the scale of its input and Matrix
 equality compares data.  kernel, image and rank read those rows; image
 reads them as columns, which is why the scale is one for the whole matrix
-and not one per row.  A Fraction vector enters once, through _to_int_row
-(scaled by the lcm of its denominators); rows are eliminated with
-_core.rref_int.  A subspace is its primitive RREF rows and their pivot
-columns; quotient_basis returns indices of such rows.  Dense Fraction
-tuples are built only where a caller reads them: Matrix.data and
-Subspace.basis (each on first read), rref_rows and LinearSolver.solve.
+and not one per row.  Fractions become integers in one place: int_rows
+scales {key: Fraction or int} maps over the lcm of their denominators,
+for a Matrix, a dense vector (once, through _to_int_row or as a solve's
+right-hand side) and dga's generator images.  Rows are eliminated with
+_core.rref_int, which returns ([], []) when no row is nonzero.  A
+subspace is its primitive RREF rows and their pivot columns;
+quotient_basis returns indices of such rows.  Dense Fraction tuples are
+built only where a caller reads them: Matrix.data and Subspace.basis
+(each on first read), rref_rows and LinearSolver.solve.
 
 _residual reduces a vector against a {pivot column: row} map with _core's
 row update _clear, in ascending pivot order, so its work follows the
@@ -43,17 +46,18 @@ from .errors import DimensionMismatch, NoSolution
 _ZERO = Fraction(0)
 
 
-def _scaled(row):
-    """(_to_int_row(row), the lcm of the row's denominators it scales by)."""
-    nonzero = [(j, x if type(x) is Fraction else Fraction(x))
-               for j, x in enumerate(row) if x]
-    s = math.lcm(*(x.denominator for _, x in nonzero))
-    return {j: x.numerator * (s // x.denominator) for j, x in nonzero}, s
+def int_rows(maps):
+    """(rows, den): the {key: Fraction or int} maps as {key: int} maps over
+    den, the lcm of all their denominators."""
+    den = math.lcm(*{x.denominator for m in maps for x in m.values()})
+    return [{k: x.numerator * (den // x.denominator) for k, x in m.items()}
+            for m in maps], den
 
 
 def _to_int_row(row):
-    """The {col: int} map of a Fraction row scaled by its denominators' lcm."""
-    return _scaled(row)[0]
+    """The {col: int} map of a dense row of Fractions or ints, scaled by the
+    lcm of its denominators."""
+    return int_rows([{j: x for j, x in enumerate(row) if x}])[0][0]
 
 
 def _dense(row, ncols, den):
@@ -62,11 +66,6 @@ def _dense(row, ncols, den):
     for j, x in row.items():
         out[j] = Fraction(x, den)
     return tuple(out)
-
-
-def _rref(rows, ncols):
-    """rref_int, skipping the kernel when there are no rows."""
-    return rref_int(rows, ncols) if rows else ([], [])
 
 
 def _residual(w, echelon):
@@ -91,7 +90,7 @@ def _residual(w, echelon):
 
 def rref_rows(rows, ncols):
     """RREF of a list of Fraction rows: (rows, pivots), zero rows dropped."""
-    reduced, pivots = _rref([_to_int_row(r) for r in rows], ncols)
+    reduced, pivots = rref_int([_to_int_row(r) for r in rows], ncols)
     return [_dense(r, ncols, r[c]) for r, c in zip(reduced, pivots)], pivots
 
 
@@ -124,12 +123,9 @@ class Matrix:
         return m
 
     def _set(self, cols, rows):
-        den = math.lcm(*{x.denominator for r in rows for x in r.values()})
         self.rows = len(rows)
         self.cols = cols
-        self._den = den
-        self._int = [{j: x.numerator * (den // x.denominator)
-                      for j, x in r.items()} for r in rows]
+        self._int, self._den = int_rows(rows)
         self._data = None
 
     @property
@@ -184,7 +180,7 @@ class Matrix:
                      for row in self.data)
 
     def rank(self):
-        return len(_rref(self._int, self.cols)[1])
+        return len(rref_int(self._int, self.cols)[1])
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
@@ -222,7 +218,7 @@ class Subspace:
 
     def _set(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        self._rows, pivots = _rref(rows, ambient_dim)
+        self._rows, pivots = rref_int(rows, ambient_dim)
         self.pivots = tuple(pivots)
         self._basis = None
 
@@ -267,7 +263,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, as a subspace of Q^cols."""
-    rows, pivots = _rref(m._int, m.cols)
+    rows, pivots = rref_int(m._int, m.cols)
     pivset = set(pivots)
     hits = {}   # column -> the (row, pivot) pairs whose row holds it
     for r, pc in zip(rows, pivots):
@@ -287,12 +283,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, as a subspace of Q^rows."""
-    return Subspace._of_rows(m.rows, m._columns() if m.rows else [])
-
-
-def solve(m: Matrix, b):
-    """One solution of m x = b (free variables set to 0); NoSolution if none."""
-    return LinearSolver(m._columns(), m.rows, m._den).solve(b)
+    return Subspace._of_rows(m.rows, m._columns())
 
 
 class LinearSolver:
@@ -307,7 +298,7 @@ class LinearSolver:
         self.cols = len(columns)
         last = n + self.cols - 1    # the tail position of column 0
         aug = [{**col, last - j: den} for j, col in enumerate(columns)]
-        reduced, pivots = _rref(aug, n + self.cols)
+        reduced, pivots = rref_int(aug, n + self.cols)
         self._echelon = {}       # pivot -> row of the column-space RREF
         self._preimage = {}      # pivot -> {column of m: int}, m u = that row
         for row, pc in zip(reduced, pivots):
@@ -320,7 +311,7 @@ class LinearSolver:
     def solve(self, b):
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {self.rows}")
-        bi, scale = _scaled(b)
+        (bi,), scale = int_rows([{j: x for j, x in enumerate(b) if x}])
         if _residual(bi, self._echelon):
             raise NoSolution("inconsistent system")
         # the rows are reduced, so b is the sum of b[c] / v[c] * v over the

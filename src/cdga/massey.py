@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import CohomologySummary, compute
-from .errors import NotACocycle, NotDefined
+from .errors import BoundTooLow, NotACocycle, NotDefined
 from .exactla import Subspace
 
 
@@ -61,7 +61,7 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
     if summary is None:
         bound = max_degree if max_degree is not None else n
         if bound < n:
-            raise ValueError("max_degree below the product degree")
+            raise BoundTooLow("max_degree below the product degree")
         summary = compute(obj, bound, with_cup=False)
     for a in (a1, a2, a3):
         if not summary.is_cocycle(a):

@@ -18,7 +18,8 @@ Tabular form:
 
 Parameters are rationals substituted into expressions at parse time.
 "differential", "parameters", "metadata", products[i].value and
-differential.<label> are JSON objects or null.  Each label read must name a
+differential.<label> are JSON objects or null; "generators", "basis" and
+"products" are JSON arrays or null.  Each label read must name a
 basis class ("unknown basis label" at its field, e.g. products[i].left or
 differential.<label>.z), and a (left, right) pair may appear once.
 Rendering is canonical: parse(render(obj)) rebuilds an identical model, and
@@ -60,6 +61,13 @@ def _object(value, field, *args):
         raise ModelSyntaxError("expected a JSON object",
                                field=field.format(*args))
     return value
+
+
+def _array(value, field):
+    """value if a JSON array, [] if null; else ModelSyntaxError at field."""
+    if value is not None and not isinstance(value, list):
+        raise ModelSyntaxError("expected a JSON array", field=field)
+    return value or []
 
 
 def _label(value, labels, field, *args):
@@ -112,7 +120,7 @@ def parse_model(doc):
 
 def _parse_free(doc):
     gens = []
-    for i, g in enumerate(doc.get("generators", [])):
+    for i, g in enumerate(_array(doc.get("generators"), "generators")):
         field = f"generators[{i}]"
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise ModelSyntaxError("generator needs name and degree",
@@ -159,7 +167,7 @@ def _parse_free(doc):
 
 def _parse_tabular(doc):
     basis = []
-    for i, b in enumerate(doc.get("basis", [])):
+    for i, b in enumerate(_array(doc.get("basis"), "basis")):
         field = f"basis[{i}]"
         if not isinstance(b, dict) or "label" not in b or "degree" not in b:
             raise ModelSyntaxError("basis entry needs label and degree",
@@ -168,7 +176,7 @@ def _parse_tabular(doc):
                       parse_integer(b["degree"], f"{field}.degree")))
     labels = {lab for lab, _ in basis}
     products = {}
-    for i, p in enumerate(doc.get("products", [])):
+    for i, p in enumerate(_array(doc.get("products"), "products")):
         if not isinstance(p, dict) or "left" not in p or "right" not in p:
             raise ModelSyntaxError("product entry needs left and right",
                                    field=f"products[{i}]")
@@ -244,7 +252,7 @@ def loads(text):
         raise ModelSyntaxError(f"envelope carries an error, not a model "
                                f"({error})", field="error")
     if isinstance(doc, dict) and "schema" in doc and "result" in doc:
-        result = doc["result"] or {}
+        result = _object(doc["result"], "result")
         if "model" not in result:
             raise ModelSyntaxError("envelope result carries no model",
                                    field="result")

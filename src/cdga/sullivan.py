@@ -27,7 +27,7 @@ from .cohomology import ChainComplex, CohomologySummary, compute
 from .dga import DGA, Differential
 from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
                      NotSimplyConnected)
-from .exactla import Matrix, Subspace
+from .exactla import Matrix
 from .gca import Algebra, Element, linear_combination
 from .massey import MasseyResult, _indeterminacy, _representative
 
@@ -90,15 +90,19 @@ class DgaMorphism:
             raise NotAChainMap(f"fails on generators: {', '.join(bad)}")
 
 
-def is_quasi_iso(f: DgaMorphism, max_degree, domain_summary=None,
-                 codomain_summary=None):
+def induced(phi, source, target, k):
+    """The matrix of H^k(phi) from source's summary to target's: column i
+    holds the class coordinates of phi(representative i)."""
+    return Matrix.from_columns(
+        [target.class_coords(phi(r), degree=k)[1]
+         for r in source.representatives[k]], target.betti[k])
+
+
+def is_quasi_iso(f: DgaMorphism, max_degree, codomain_summary=None):
     """(bool, per-degree report) for H^k(f) being an isomorphism, k <= bound."""
     f.check_chain_map()
-    ds, cs = domain_summary, codomain_summary
-    if ds is None:
-        ds = compute(f.domain, max_degree, with_cup=False)
-    else:
-        _require_cover(ds, f.domain, max_degree)
+    ds = compute(f.domain, max_degree, with_cup=False)
+    cs = codomain_summary
     if cs is None:
         cs = compute(f.codomain, max_degree, with_cup=False)
     else:
@@ -106,9 +110,7 @@ def is_quasi_iso(f: DgaMorphism, max_degree, domain_summary=None,
     report = []
     ok = True
     for k in range(max_degree + 1):
-        cols = [cs.class_coords(f(r), degree=k)[1] for r in ds.representatives[k]]
-        m = Matrix.from_columns(cols, cs.betti[k])
-        rank = m.rank()
+        rank = induced(f, ds, cs, k).rank()
         iso = ds.betti[k] == cs.betti[k] and rank == ds.betti[k]
         report.append({"degree": k, "domain_betti": ds.betti[k],
                        "codomain_betti": cs.betti[k], "rank": rank,
@@ -140,11 +142,6 @@ def _row_elements(alg, space, elements):
     return (alg.from_terms(linear_combination(
         (Fraction(row[i], row[p]), elements[i].terms) for i in sorted(row)))
         for row, p in zip(space._rows, space.pivots))
-
-
-def _transplant(new_alg: Algebra, e: Element) -> Element:
-    # generator lists are append-only, so monomial indices stay valid
-    return Element(new_alg, dict(e.terms))
 
 
 def _guard_dims(alg: Algebra, stage, max_dim):
@@ -193,17 +190,13 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
     d_images = {}        # name -> Element (of the latest algebra)
     phi_images = {}      # name -> target element
     ledger = {}
-    counters = {}
 
     def build():
         alg = Algebra(gens)
-        imgs = {name: _transplant(alg, e) for name, e in d_images.items()}
+        # generator lists are append-only, so monomial indices stay valid
+        imgs = {name: Element(alg, dict(e.terms))
+                for name, e in d_images.items()}
         return DGA(alg, Differential(alg, imgs))
-
-    def fresh_name(prefix, degree):
-        n = counters.get((prefix, degree), 0)
-        counters[(prefix, degree)] = n + 1
-        return f"{prefix}{degree}_{n}"
 
     model = build()
     for k in range(2, max_degree + 1):
@@ -213,12 +206,10 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         phi = DgaMorphism(model, target, phi_images)
 
         # (a) closed generators to surject onto H^k(target)
-        img_vecs = [target_summary.class_coords(phi(r), degree=k)[1]
-                    for r in summary.representatives[k]]
-        img = Subspace(target_summary.betti[k], img_vecs)
+        img = exactla.image(induced(phi, summary, target_summary, k))
         full = exactla.image(Matrix.identity(target_summary.betti[k]))
-        for i in exactla.quotient_basis(full, img):
-            name = fresh_name("w", k)
+        for n, i in enumerate(exactla.quotient_basis(full, img)):
+            name = f"w{k}_{n}"
             gens.append((name, k))
             phi_images[name] = target_summary.representatives[k][i]
             ledger[k]["surjective"].append(name)
@@ -226,18 +217,15 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
 
         # (b) generators of degree k killing ker H^{k+1}(phi); (a) left
         # H^{k+1} as it was, so summary and phi still serve
-        reps = summary.representatives[k + 1]
-        cols = [target_summary.class_coords(phi(r), degree=k + 1)[1]
-                for r in reps]
-        m = Matrix.from_columns(cols, target_summary.betti[k + 1])
-        kernel_classes = exactla.kernel(m)
+        kernel_classes = exactla.kernel(
+            induced(phi, summary, target_summary, k + 1))
         new = []
-        for z in _row_elements(model.algebra, kernel_classes, reps):
+        for z in _row_elements(model.algebra, kernel_classes,
+                               summary.representatives[k + 1]):
             primitive = target_summary.is_exact(phi(z))
             if primitive is None:
                 raise AssertionError("kernel class image not exact in target")
-            name = fresh_name("v", k)
-            new.append((name, z, primitive))
+            new.append((f"v{k}_{len(new)}", z, primitive))
         for name, z, primitive in new:
             gens.append((name, k))
             d_images[name] = z  # re-transplanted on the next build()

@@ -191,7 +191,8 @@ def recomputing_minimal_model(target, max_degree):
             v = full.basis[i]
             name = f"w{k}_{n}"
             gens.append((name, k))
-            phi_images[name] = ts.rep_combination(k, v)
+            phi_images[name] = ts.ctx.algebra.from_terms(linear_combination(
+                (c, r.terms) for c, r in zip(v, ts.representatives[k])))
             ledger[k]["surjective"].append(name)
         if ledger[k]["surjective"]:
             model = build()

@@ -334,6 +334,12 @@ BAD_MODELS = {
                                    "differential.z"),
     "unknown_differential_image_label": (
         tabular(differential={"s": {"z": "0"}}), "differential.s.z"),
+    "tabular_basis_a_number": ({"kind": "tabular", "basis": 5}, "basis"),
+    "free_generators_a_number": ({"kind": "free", "generators": 5},
+                                 "generators"),
+    "products_a_number": (tabular(products=5), "products"),
+    "envelope_result_a_number": ({"schema": 1, "result": 5}, "result"),
+    "envelope_result_a_list": ({"schema": 1, "result": ["model"]}, "result"),
 }
 
 
@@ -393,6 +399,19 @@ class TestBadInput:
         assert error["location"] == {"field": field}
         if case.startswith("unknown"):
             assert error["detail"] == "unknown basis label 'z'"
+
+    @pytest.mark.parametrize("doc, size", [
+        ({"kind": "free", "generators": None}, 0),
+        (tabular(products=None), len(SPHERE_BASIS))])
+    def test_null_arrays_read_as_empty(self, doc, size):
+        code, out = run_cli(["validate", "-"], stdin_text=json.dumps(doc))
+        assert code == 0 and json.loads(out)["result"]["size"] == size
+
+    def test_massey_bound_below_the_product_degree(self):
+        _, s3_text = run_cli(["corpus", "s-k", "--k", "3"])
+        error = error_of(*run_cli(["massey", "-", "--classes", "a,a,a1",
+                                   "--max-degree", "2"], stdin_text=s3_text))
+        assert error["kind"] == "BoundTooLow"
 
     @pytest.mark.parametrize("value", [{"w": "1"}, {"w": "-1"}])
     def test_a_pair_given_in_both_orders(self, value):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdga.cohomology import compute
-from cdga.constructions import (CohomologyAutomorphism, EulerData,
-                                circle_bundle_model, corpus,
-                                del_pezzo_s2_tabular, lens_bundle_cp2_model,
+from cdga.constructions import (CohomologyAutomorphism, circle_bundle_model,
+                                corpus, del_pezzo_s2_tabular,
+                                lens_bundle_cp2_model,
                                 mapping_torus_cohomology, q_model,
                                 s1s2_bundle_cp2_model, s2_cubed_model,
                                 s3_bundle_model, s4_model, s_k_model,

@@ -16,7 +16,7 @@ from cdga.cohomology import ChainComplex
 from cdga.constructions import CORPUS_NAMES, corpus
 from cdga.errors import DimensionMismatch, NoSolution
 from cdga.exactla import (LinearSolver, Matrix, Subspace, image, kernel,
-                          quotient_basis, solve)
+                          quotient_basis)
 
 from conftest import (list_scan_quotient_basis, list_scan_residual,
                       list_scan_rref_int, naive_rref)
@@ -32,12 +32,13 @@ class TestExamples:
 
     def test_solve_scalar(self):
         m = Matrix([[2]])
-        assert solve(m, [3]) == (Fraction(3, 2),)
+        solver = LinearSolver(m._columns(), m.rows, m._den)
+        assert solver.solve([3]) == (Fraction(3, 2),)
 
     def test_solve_inconsistent(self):
         m = Matrix([[1, 1], [1, 1]])
         with pytest.raises(NoSolution):
-            solve(m, [1, 2])
+            LinearSolver(m._columns(), m.rows, m._den).solve([1, 2])
 
     def test_quotient_basis_plane_mod_diagonal(self):
         ambient = Subspace(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -132,6 +133,12 @@ def rational_rref(reduced, pivots, ncols):
 class TestSparseKernel:
     def test_no_rows(self):
         assert _core.rref_int([], 3) == ([], [])
+
+    @pytest.mark.parametrize("rows", [[], [{}], [{}, {}, {}]])
+    @pytest.mark.parametrize("ncols", [0, 1, 4])
+    def test_no_nonzero_rows(self, rows, ncols):
+        # exactla hands rref_int empty inputs as they come, with no guard
+        assert _core.rref_int(rows, ncols) == ([], [])
 
     def test_zero_rows_dropped(self):
         rows = [{}, {0: 2, 1: 4}, {}, {0: -3, 1: -6}]
@@ -337,7 +344,7 @@ class TestProperties:
     def test_solve_solves(self, m, data):
         v = [Fraction(data.draw(st.integers(-5, 5))) for _ in range(m.cols)]
         b = m.apply(v)
-        x = solve(m, b)
+        x = LinearSolver(m._columns(), m.rows, m._den).solve(b)
         assert m.apply(x) == b
 
     @settings(max_examples=100, deadline=None)
@@ -400,6 +407,16 @@ class TestEdgeCases:
         with pytest.raises(NoSolution):
             Matrix([[1, 2], [2, 4]]).inverse()
         assert Matrix([], cols=0).inverse() == Matrix([], cols=0)
+
+    @pytest.mark.parametrize("m", [
+        Matrix([], cols=0), Matrix([], cols=3),
+        Matrix.from_columns([(), ()], 0), Matrix._of_int([], 2, 5)])
+    def test_image_without_rows(self, m):
+        # image reads the columns of a 0-row matrix as empty rows
+        assert m.rows == 0
+        s = image(m)
+        assert (s.ambient_dim, s.dim, s._rows, s.pivots) == (0, 0, [], ())
+        assert s == Subspace(0)
 
     def test_solver_without_rows(self):
         solver = LinearSolver([{}, {}, {}], 0)    # no rows, three columns
@@ -476,12 +493,12 @@ class TestDomainMatrixOracle:
         consistent = dm.hstack(db).rank() == dm.rank()
         assert image(m).member(b) == consistent
         if consistent:
-            y = solve(m, b)
+            y = LinearSolver(m._columns(), m.rows, m._den).solve(b)
             assert dm.matmul(domain_matrix([[v] for v in y],
                                            (m.cols, 1))) == db
         else:
             with pytest.raises(NoSolution):
-                solve(m, b)
+                LinearSolver(m._columns(), m.rows, m._den).solve(b)
 
     @settings(max_examples=150, deadline=None)
     @given(row_denominator_matrices())
@@ -510,7 +527,25 @@ class TestDomainMatrixOracle:
                 fraction_rows(dm.inv())
 
 
+fraction_maps = st.lists(st.dictionaries(
+    st.integers(0, 8),
+    st.one_of(st.integers(-9, 9),
+              st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    .filter(bool), max_size=6), max_size=6)
+
+
 class TestExactForm:
+    @settings(deadline=None)
+    @given(fraction_maps)
+    def test_int_rows_scales_by_the_lcm(self, maps):
+        rows, den = exactla.int_rows(maps)
+        assert den == math.lcm(*(Fraction(x).denominator
+                                 for m in maps for x in m.values()))
+        assert all(type(x) is int for r in rows for x in r.values())
+        # each row times 1/den is its input map, keys in the same order
+        assert [[(k, Fraction(x, den)) for k, x in r.items()]
+                for r in rows] == [list(m.items()) for m in maps]
+
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(any_matrix, row_denominator_matrices()))
     def test_round_trips(self, m):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cdga.cohomology import compute
-from cdga.errors import NotACocycle, NotDefined
+from cdga.errors import BoundTooLow, NotACocycle, NotDefined
 from cdga.exactla import Subspace
 from cdga.massey import triple, try_triple
 
@@ -67,7 +67,7 @@ class TestExamples:
 
     def test_bound_below_product_degree_rejected(self, q111):
         a2, a3 = q111.gen("a2"), q111.gen("a3")
-        with pytest.raises(ValueError):
+        with pytest.raises(BoundTooLow):
             triple(q111, a2, a2, a3, max_degree=4)
 
 

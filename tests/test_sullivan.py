@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from cdga import sullivan
+from cdga import exactla, sullivan
 from cdga.cohomology import ChainComplex, compute
 from cdga.constructions import (corpus, cp2_model, lens_bundle_cp2_model,
                                 q_model, s4_model, s_k_model, x6_model)
 from cdga.dga import DGA, Differential, TabularDGA
 from cdga.errors import (BoundTooLow, ModelTooLarge, NotAChainMap,
                          NotMinimal, NotSimplyConnected)
+from cdga.exactla import Subspace
 from cdga.gca import Algebra, Element
 from cdga.massey import triple
 from cdga.modelfile import render_model
 from cdga.sullivan import (DgaMorphism, formality, formality_shortcut,
-                           is_quasi_iso, minimal_model, required_s,
+                           induced, is_quasi_iso, minimal_model, required_s,
                            massey_search, s_formality_check)
 from conftest import (naive_massey_search, naive_morphism_image,
                       poincare_coefficient, recomputing_minimal_model)
@@ -94,14 +95,13 @@ class TestMorphism:
     def test_quasi_iso_checks_the_summaries_it_is_given(self, cp2, q111):
         f = DgaMorphism(cp2, cp2, {"a": cp2.gen("a"), "x": cp2.gen("x")})
         covering = compute(cp2, 6, with_cup=False)
-        assert is_quasi_iso(f, 6, domain_summary=covering,
-                            codomain_summary=covering) == is_quasi_iso(f, 6)
+        assert is_quasi_iso(f, 6, codomain_summary=covering) == \
+            is_quasi_iso(f, 6)
         short = compute(cp2, 2, with_cup=False)
         other = compute(q111, 7, with_cup=False)
-        for kw in ({"domain_summary": short}, {"codomain_summary": short},
-                   {"domain_summary": other}, {"codomain_summary": other}):
+        for summary in (short, other):
             with pytest.raises(BoundTooLow):
-                is_quasi_iso(f, 6, **kw)
+                is_quasi_iso(f, 6, codomain_summary=summary)
 
     def test_unknown_generator_images_rejected(self, cp2):
         with pytest.raises(KeyError, match="unknown generators"):
@@ -232,6 +232,30 @@ class TestMinimalModel:
         assert {g.name: str(model.morphism.images[g.ordinal])
                 for g in model.dga.algebra.generators} == \
             {name: str(e) for name, e in images.items()}
+
+    @pytest.mark.parametrize("name", ["s_3", "q111"])
+    def test_stage_image_is_the_span_of_the_class_vectors(self, name, q111,
+                                                          monkeypatch):
+        # stage (a) reads the image of H^k(phi) as the column space of
+        # induced(...); it must be the subspace the class vectors of the
+        # representatives' images span, row for row and pivot for pivot
+        target = q111 if name == "q111" else s_k_model(3)[0]
+        seen = []
+
+        def spy(phi, source, tgt, k):
+            m = induced(phi, source, tgt, k)
+            vecs = [tgt.class_coords(phi(r), degree=k)[1]
+                    for r in source.representatives[k]]
+            seen.append((k, exactla.image(m), Subspace(tgt.betti[k], vecs)))
+            return m
+
+        monkeypatch.setattr(sullivan, "induced", spy)
+        minimal_model(target, 5)
+        # one call per stage for (a), at degree k, and one for (b), at k + 1
+        assert [k for k, _, _ in seen] == [2, 3, 3, 4, 4, 5, 5, 6]
+        assert any(want.dim for _, _, want in seen)
+        for _, got, want in seen:
+            assert (got._rows, got.pivots) == (want._rows, want.pivots)
 
     def test_q111_model_matches_to_degree_five(self, q111):
         model = minimal_model(q111, 5)
