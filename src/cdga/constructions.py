@@ -35,11 +35,7 @@ def circle_bundle_model(base, e):
         raise WrongDegree("circle-bundle Euler class must have degree 2")
     if isinstance(base, DGA):
         names = {g.name for g in base.algebra.generators}
-        yname = "y"
-        n = 0
-        while yname in names:
-            yname = f"y{n}"
-            n += 1
+        yname = _fresh_y(names.__contains__)
         gens = [(g.name, g.degree) for g in base.algebra.generators]
         gens.append((yname, 1))
         alg = Algebra(gens)
@@ -51,11 +47,21 @@ def circle_bundle_model(base, e):
     return _tabular_circle_bundle(base, e)
 
 
+def _fresh_y(taken):
+    """The first of y, y0, y1, ... that taken(name) does not reject."""
+    name, n = "y", 0
+    while taken(name):
+        name, n = f"y{n}", n + 1
+    return name
+
+
 def _tabular_circle_bundle(base: TabularDGA, e):
     nbase = len(base.labels)
+    yname = _fresh_y(lambda y: y in base.index or any(
+        f"{y}*{lab}" in base.index for lab in base.labels))
 
     def ylab(i):
-        return "y" if i == base.unit else f"y*{base.labels[i]}"
+        return yname if i == base.unit else f"{yname}*{base.labels[i]}"
 
     basis = list(zip(base.labels, base.degrees))
     basis += [(ylab(i), base.degrees[i] + 1) for i in range(nbase)]
@@ -200,9 +206,10 @@ class CohomologyAutomorphism:
 
         The given matrices are checked as the constructor checks them.  For
         each known degree r with unknown complement n-r, <rho x, rho y> =
-        top_sign * <x, y> gives M_{n-r} = top_sign * A^-1 P, with A[i][j] =
-        <rho x_i, y_j> and P[i][j] = <x_i, y_j>; a degenerate A raises
-        DegreeGap.  Degrees with b_r = 0 need no data.
+        top_sign * <x, y> gives A M_{n-r} = top_sign * P, with A[i][j] =
+        <rho x_i, y_j> and P[i][j] = <x_i, y_j>: one solve per column of
+        M_{n-r} on A, which is invertible or raises DegreeGap.  Degrees with
+        b_r = 0 need no data.
         """
         n = top_degree
         _check_degree(summary, n)
@@ -226,10 +233,10 @@ class CohomologyAutomorphism:
                         for rx in rho._images(r)], cols=len(ys))
             if not a.is_invertible():
                 raise DegreeGap(f"cannot complete degree {cr} by duality")
-            a_inv = a.inverse()
+            solver = exactla.LinearSolver(a._columns(), a.rows, a._den)
             mats[cr] = Matrix.from_columns(
-                [a_inv.apply([top_sign * pair(x, y)
-                              for x in summary.representatives[r]])
+                [solver.solve([top_sign * pair(x, y)
+                               for x in summary.representatives[r]])
                  for y in ys], len(ys))
             rho.provenance.append(f"degree-{cr} action derived from the "
                                   f"degree-{r} action through the cup pairing")
@@ -293,8 +300,7 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
         kelems[r] = list(_row_elements(h.ctx.algebra, kers[r],
                                        h.representatives[r]))
         ims[r] = exactla.image(a)
-        cokers[r] = exactla.quotient_basis(
-            exactla.image(Matrix.identity(h.betti[r])), ims[r])
+        cokers[r] = exactla.complement(ims[r])
 
     def klab(r, i):
         return "1" if r == 0 else f"k{r}.{i}"
@@ -425,6 +431,8 @@ def s_k_model(k, epsilon=None, big_n=None):
     if len(eps) != k:
         raise ParamOutOfRange(f"expected {k} epsilon values")
     big_n = int(big_n) if big_n is not None else 2 * k
+    if big_n <= 0:
+        raise ParamOutOfRange("N must be positive")
     if any(e <= 0 for e in eps):
         raise ParamOutOfRange("epsilon_i must be positive")
     if sum(eps) >= 1:

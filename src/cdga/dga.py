@@ -2,8 +2,11 @@
 
 A Differential is given on generators and extended by the graded Leibniz
 rule d(a*b) = (da)*b + (-1)^{|a|} a*(db).  Validation checks d о d = 0 on
-generators, which suffices by Leibniz.  TabularDGA.validate reads its table
-in one pass, integral coefficients as ints, and sorts only the failures.
+generators, which suffices by Leibniz.  A TabularDGA holds an integral
+table or differential coefficient as an int and any other as a Fraction;
+its elements' coefficients are Fractions all the same, since mul_terms
+scales the entries by them.  TabularDGA.validate reads its table in one
+pass and sorts only the failures.
 
 Both kinds keep their generator images once more as {key: int} maps over
 one common denominator, d_den, as exactla.int_rows scales them.
@@ -30,9 +33,11 @@ from .gca import Algebra, Element, linear_combination
 
 
 def _entry(index, val):
-    """The {label: coefficient} map val as an {index[label]: Fraction} map
-    of its nonzero coefficients; a Fraction is kept, not converted."""
-    return {index[lab]: f for lab, c in val.items()
+    """The {label: coefficient} map val as an {index[label]: coefficient}
+    map of its nonzero coefficients, an integral one as an int and any
+    other as a Fraction."""
+    return {index[lab]: f.numerator if f.denominator == 1 else f
+            for lab, c in val.items()
             if (f := c if type(c) is Fraction else Fraction(c))}
 
 
@@ -196,7 +201,8 @@ class DGA:
 class TabularDGA:
     """A finite-dimensional DGA given by a basis, product table, differential.
 
-    basis: list of (label, degree); exactly one degree-0 label (the unit).
+    basis: list of (label, degree); exactly one degree-0 label (the unit),
+    and no negative degree (ValueError).
     products: {(label_i, label_j): {label_k: coeff}} for i, j nonunit; pairs
     not listed in either order are zero.  The table is completed by graded
     commutativity, and products with the unit are implied: an entry with
@@ -208,6 +214,8 @@ class TabularDGA:
     def __init__(self, basis, products=None, differential=None):
         self.labels = [str(lab) for lab, _ in basis]
         self.degrees = [int(deg) for _, deg in basis]
+        if min(self.degrees, default=0) < 0:
+            raise ValueError("basis degrees must be >= 0")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate basis labels")
         self.index = {lab: i for i, lab in enumerate(self.labels)}
@@ -313,8 +321,8 @@ class TabularDGA:
         commutativity: it must vanish.
 
         One pass over the table builds left[i] = {j: i*j} and right[j] =
-        {i: i*j} for the nonzero basis products, the unit's included, with
-        integral coefficients as ints; d is the integer one over d_den, a
+        {i: i*j} for the nonzero basis products, the unit's included, from
+        the table's own entries; d is the integer one over d_den, a
         common scale of each identity's terms.  Each nonzero term adds its
         classes into lhs - rhs at (candidate, class), so only candidates
         with a nonzero term are formed, each once: no triple through the
@@ -329,10 +337,8 @@ class TabularDGA:
         nonzero = []
         for (i, j), entry in self.table.items():
             if entry:
-                row = left[i][j] = right[j][i] = {
-                    k: c.numerator if c.denominator == 1 else c
-                    for k, c in entry.items()}
-                nonzero.append((i, j, row))
+                left[i][j] = right[j][i] = entry
+                nonzero.append((i, j, entry))
         for x in range(n):
             left[x][unit] = right[x][unit] = left[unit][x] = \
                 right[unit][x] = {x: 1}

@@ -13,9 +13,11 @@ for a Matrix, a dense vector (once, through _to_int_row or as a solve's
 right-hand side) and dga's generator images.  Rows are eliminated with
 _core.rref_int, which returns ([], []) when no row is nonzero.  A
 subspace is its primitive RREF rows and their pivot columns;
-quotient_basis returns indices of such rows.  Dense Fraction tuples are
-built only where a caller reads them: Matrix.data and Subspace.basis
-(each on first read), rref_rows and LinearSolver.solve.
+quotient_basis returns indices of such rows, and complement(sub) those of
+the unit vectors completing sub to Q^n, with no identity matrix built.  A
+Matrix has no inverse: a LinearSolver on A gives A^-1 b.  Dense Fraction
+tuples are built only where a caller reads them: Matrix.data and
+Subspace.basis (each on first read), rref_rows and LinearSolver.solve.
 
 _residual reduces a vector against a {pivot column: row} map with _core's
 row update _clear, in ascending pivot order, so its work follows the
@@ -185,18 +187,6 @@ class Matrix:
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
-    def inverse(self):
-        if self.rows != self.cols:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        # m's columns reduce to I, row i to p * e_i with p its pivot entry,
-        # and m u = p * e_i makes u / p column i of the inverse
-        solver = LinearSolver(self._columns(), self.rows, self._den)
-        if len(solver._echelon) != self.rows:
-            raise NoSolution("matrix is singular")
-        return Matrix._of_columns(
-            [{j: Fraction(x, solver._echelon[i][i]) for j, x in u.items()}
-             for i, u in solver._preimage.items()], self.rows)
-
 
 class Subspace:
     """A subspace of Q^n, stored as primitive int RREF rows and pivots."""
@@ -341,9 +331,20 @@ def quotient_basis(ambient: Subspace, sub: Subspace):
         raise DimensionMismatch("subspaces of different ambient spaces")
     if not ambient.contains(sub):
         raise DimensionMismatch("sub is not contained in ambient")
+    return _greedy(ambient._rows, sub)
+
+
+def complement(sub: Subspace):
+    """The ascending indices i of the unit vectors e_i of Q^n that, taken in
+    order, each add rank over sub: together with sub they span Q^n."""
+    return _greedy([{i: 1} for i in range(sub.ambient_dim)], sub)
+
+
+def _greedy(rows, sub):
+    """Indices of the {col: int} rows that, taken in order, add rank over sub."""
     kept = []
     echelon = dict(zip(sub.pivots, sub._rows))
-    for i, row in enumerate(ambient._rows):
+    for i, row in enumerate(rows):
         w = _residual(row, echelon)
         if w:
             kept.append(i)

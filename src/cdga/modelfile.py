@@ -172,8 +172,11 @@ def _parse_tabular(doc):
         if not isinstance(b, dict) or "label" not in b or "degree" not in b:
             raise ModelSyntaxError("basis entry needs label and degree",
                                    field=field)
-        basis.append((str(b["label"]),
-                      parse_integer(b["degree"], f"{field}.degree")))
+        degree = parse_integer(b["degree"], f"{field}.degree")
+        if degree < 0:
+            raise ModelSyntaxError(f"negative degree {degree}",
+                                   field=f"{field}.degree")
+        basis.append((str(b["label"]), degree))
     labels = {lab for lab, _ in basis}
     products = {}
     for i, p in enumerate(_array(doc.get("products"), "products")):

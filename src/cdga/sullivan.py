@@ -207,8 +207,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
 
         # (a) closed generators to surject onto H^k(target)
         img = exactla.image(induced(phi, summary, target_summary, k))
-        full = exactla.image(Matrix.identity(target_summary.betti[k]))
-        for n, i in enumerate(exactla.quotient_basis(full, img)):
+        for n, i in enumerate(exactla.complement(img)):
             name = f"w{k}_{n}"
             gens.append((name, k))
             phi_images[name] = target_summary.representatives[k][i]
@@ -310,8 +309,7 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
             continue
         c_space = exactla.kernel(
             ctx.columns(i + 1, [dga.d(g).terms for g in vi]))
-        n_gens = [vi[j] for j in exactla.quotient_basis(
-            exactla.image(Matrix.identity(len(vi))), c_space)]
+        n_gens = [vi[j] for j in exactla.complement(c_space)]
         splitting[i] = {"C": c_space.dim, "N": len(n_gens)}
         # the C parts are c_space's RREF rows, the N parts generators of V^i
         for tag, parts in (("C", _row_elements(alg, c_space, vi)),

@@ -153,6 +153,15 @@ class TestCommands:
         # circle bundle with nonzero Euler class over the S^2 model: S^3
         assert json.loads(out2)["result"]["betti"] == [1, 0, 0, 1]
 
+    def test_tabular_circle_bundle_over_a_base_with_a_y(self):
+        # s_3 already has the labels y and y*<label>, so the fibre is y0
+        _, s3_text = run_cli(["corpus", "s-k", "--k", "3"])
+        code, out = run_cli(["circle-bundle", "-", "--euler", "a"],
+                            stdin_text=s3_text)
+        assert code == 0
+        code, out2 = run_cli(["validate", "-"], stdin_text=out)
+        assert code == 0 and json.loads(out2)["result"]["ok"] is True
+
     def test_mapping_torus_command(self, tmp_path):
         _, q_text = run_cli(["corpus", "q111"])
         model_path = tmp_path / "q.json"
@@ -279,6 +288,10 @@ BAD_CORPUS_ARGS = {
     "bad_epsilon": (["corpus", "s-k", "--k", "3", "--epsilon", "1/6,y"],
                     "ModelSyntaxError", "epsilon"),
     "bad_f": (["corpus", "x6", "--f", "1/0"], "ModelSyntaxError", "f"),
+    "s_k_with_N_zero": (["corpus", "s-k", "--k", "3", "--N", "0"],
+                        "ParamOutOfRange", None),
+    "s_k_with_N_negative": (["corpus", "s-k", "--k", "3", "--N", "-6"],
+                            "ParamOutOfRange", None),
 }
 
 
@@ -340,6 +353,11 @@ BAD_MODELS = {
     "products_a_number": (tabular(products=5), "products"),
     "envelope_result_a_number": ({"schema": 1, "result": 5}, "result"),
     "envelope_result_a_list": ({"schema": 1, "result": ["model"]}, "result"),
+    # d(a) = 1 would make the unit exact, but H^-1 is never computed
+    "negative_basis_degree": ({
+        "kind": "tabular", "basis": [{"label": "1", "degree": 0},
+                                     {"label": "a", "degree": -1}],
+        "differential": {"a": {"1": "1"}}}, "basis[1].degree"),
 }
 
 

@@ -50,6 +50,20 @@ class TestCircleBundle:
         names = {g.name for g in total.algebra.generators}
         assert "y0" in names
 
+    def test_tabular_name_collision_avoided(self):
+        # s_3 is a circle bundle itself: y and every y*<label> are taken
+        base = s_k_model(3)[0]
+        total = circle_bundle_model(base, base.gen("a"))
+        assert total.validate() == []
+        assert total.labels[:len(base.labels)] == base.labels
+        assert total.labels[len(base.labels)] == "y0"
+        assert "y0*a" in total.labels
+
+    def test_tabular_name_skips_a_clash_of_y_star_label(self):
+        tab = TabularDGA([("1", 0), ("s", 2), ("y*s", 3)])
+        total = circle_bundle_model(tab, tab.gen("s"))
+        assert total.labels == ["1", "s", "y*s", "y0", "y0*s", "y0*y*s"]
+
     def test_tabular_circle_bundle_matches_free_one(self):
         # the same bundle built from the free (S^2)^3 model and from its
         # cohomology table must have identical Betti numbers
@@ -149,6 +163,10 @@ class TestSK:
             s_k_model(3, epsilon=[Fraction(1, 7)] * 3, big_n=6)
         with pytest.raises(ParamOutOfRange):
             s_k_model(3, epsilon=[Fraction(1, 6)] * 2)
+        # N = 0 would make the Euler class zero: a product with a circle
+        for big_n in (0, -6):
+            with pytest.raises(ParamOutOfRange, match="N must be positive"):
+                s_k_model(3, big_n=big_n)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +187,9 @@ class TestAutomorphisms:
             "y": dga.gen("y")})
         assert rho.cup_compatibility_failures() == []
         m2 = rho.matrix(2)
-        assert m2.inverse() == m2
+        for i in range(m2.cols):
+            e = [Fraction(i == j) for j in range(m2.cols)]
+            assert m2.apply(m2.apply(e)) == tuple(e)
         assert m2 != m2.identity(2)
 
     def test_duality_completion_agrees_with_chain_automorphism(self, q_summary):

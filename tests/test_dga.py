@@ -259,8 +259,12 @@ def broken_tables(draw, tab, coeff=st.integers(-2, 2)):
     return perturbed(tab, products, differential)
 
 
-UNIT_HITTING_TABLE = TabularDGA([("1", 0), ("w", -1), ("u", 1), ("s", 2)],
-                                {("w", "u"): {"1": 1}}, {"w": {"1": 1}})
+# a table of nonnegative degrees cannot hit the unit, its only degree-0
+# class, so this one meets the unit's scale 1 through its rational product
+# and differential instead
+RATIONAL_TABLE = TabularDGA([("1", 0), ("w", 1), ("u", 1), ("s", 2)],
+                            {("w", "u"): {"s": Fraction(1, 2)}},
+                            {"w": {"s": Fraction(2, 3)}})
 
 
 @pytest.fixture(scope="module")
@@ -302,11 +306,10 @@ class TestSparseValidate:
     @given(st.data())
     def test_broken_tables_with_rational_entries(self, s3_table, torus_table,
                                                  data):
-        # the third table has a product and a differential that hit the
-        # unit, so the unit's scale meets a table entry's in one identity
+        # the third table's own product and differential are rational
         coeff = st.fractions(-2, 2, max_denominator=7)
         base = data.draw(st.sampled_from([s3_table, torus_table,
-                                          UNIT_HITTING_TABLE]))
+                                          RATIONAL_TABLE]))
         if data.draw(st.booleans()):
             base = data.draw(rescaled_tables(base))
         tab = data.draw(broken_tables(base, coeff))
@@ -339,15 +342,11 @@ class TestSparseValidate:
         assert problems == naive_tabular_validate(tab)
         assert "Leibniz fails at 1,s" in problems
 
-    def test_products_and_differential_that_hit_the_unit(self):
-        # w has degree -1: w*u and d(w) are multiples of the unit, whose
-        # products reach every class
-        tab = TabularDGA([("1", 0), ("w", -1), ("u", 1), ("s", 2)],
-                         {("w", "u"): {"1": 1}}, {"w": {"1": 1}})
-        problems = tab.validate()
-        assert problems == naive_tabular_validate(tab)
-        assert "associativity fails at w,u,s" in problems
-        assert "Leibniz fails at w,s" in problems
+    def test_a_class_that_would_hit_the_unit_is_refused(self):
+        # only a class of degree -1 makes w*u or d(w) a multiple of the unit
+        with pytest.raises(ValueError, match="basis degrees must be >= 0"):
+            TabularDGA([("1", 0), ("w", -1), ("u", 1), ("s", 2)],
+                       {("w", "u"): {"1": 1}}, {"w": {"1": 1}})
 
 
 class TestTabular:
@@ -365,6 +364,22 @@ class TestTabular:
 
     def test_validate_clean(self):
         assert self.tab_sphere().validate() == []
+
+    def test_integral_entries_are_ints_and_coefficients_fractions(self):
+        tab = TabularDGA([("1", 0), ("s", 2), ("u", 3), ("t", 4)],
+                         {("s", "s"): {"t": Fraction(2)}},
+                         {"u": {"t": Fraction(1, 2)}})
+        (entry,), (image,) = tab.table.values(), tab.diff.values()
+        assert entry == {3: 2} and type(entry[3]) is int
+        assert image == {3: Fraction(1, 2)}
+        s = tab.gen("s")
+        for e in (s * s, (s * Fraction(1, 3)) * s, tab.d(tab.gen("u"))):
+            assert e.terms and all(type(c) is Fraction
+                                   for c in e.terms.values())
+        s3 = s_k_model(3)[0]
+        product = s3.gen("a") * s3.gen("y*a")
+        assert product.terms and all(type(c) is Fraction
+                                     for c in product.terms.values())
 
     def test_graded_commutativity_completed_with_sign(self):
         tab = TabularDGA([("1", 0), ("u", 3), ("v", 3), ("w", 6)],

@@ -15,8 +15,8 @@ from cdga import _core, exactla
 from cdga.cohomology import ChainComplex
 from cdga.constructions import CORPUS_NAMES, corpus
 from cdga.errors import DimensionMismatch, NoSolution
-from cdga.exactla import (LinearSolver, Matrix, Subspace, image, kernel,
-                          quotient_basis)
+from cdga.exactla import (LinearSolver, Matrix, Subspace, complement, image,
+                          kernel, quotient_basis)
 
 from conftest import (list_scan_quotient_basis, list_scan_residual,
                       list_scan_rref_int, naive_rref)
@@ -69,7 +69,14 @@ class TestExamples:
 
     def test_inverse_round_trip(self):
         m = Matrix([[Fraction(1, 2), 1], [0, 3]])
-        assert m.inverse().inverse() == m
+        assert solved_inverse(solved_inverse(m)) == m
+
+    def test_complement_is_greedy_not_the_free_columns(self):
+        # span(1, 1) has pivot 0 and free column 1, but e_0 completes it
+        assert complement(Subspace(2, [[1, 1]])) == [0]
+        assert complement(Subspace(3, [[0, 2, 0]])) == [0, 2]
+        assert complement(Subspace(0)) == []
+        assert complement(Subspace(2, [[1, 0], [0, 1]])) == []
 
     def test_subspace_membership_and_coordinates(self):
         s = Subspace(3, [[1, 0, 1], [0, 1, 1]])
@@ -92,6 +99,18 @@ class TestExamples:
 
 def frac(num, den):
     return Fraction(num, den)
+
+
+def unit_vectors(n):
+    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
+
+
+def solved_inverse(m):
+    """m^-1 for a square m, column i the LinearSolver solution of m x = e_i;
+    NoSolution when some e_i has none, that is when m is singular."""
+    solver = LinearSolver(m._columns(), m.rows, m._den)
+    return Matrix.from_columns([solver.solve(e) for e in unit_vectors(m.rows)],
+                               m.cols)
 
 
 matrices = st.integers(0, 5).flatmap(
@@ -250,8 +269,8 @@ def subspace_pairs(draw):
 
 
 class TestColumnSolver:
-    """LinearSolver and Matrix.inverse against naive_rref of [m | b] and of
-    [m | I]; max_examples comes from the hypothesis profile."""
+    """LinearSolver against naive_rref of [m | b] and of [m | I]; max_examples
+    comes from the hypothesis profile."""
 
     @settings(deadline=None)
     @given(st.one_of(matrices, sparse_matrices()), st.data())
@@ -279,15 +298,20 @@ class TestColumnSolver:
                  min_size=n, max_size=n),
         min_size=n, max_size=n).map(lambda data: Matrix(data, cols=n))))
     def test_inverse_is_the_right_half_of_the_rref(self, m):
+        # the solution of m x = e_i is column i of the right half
         n = m.cols
         rows, pivots = naive_rref(
-            [list(r) + [Fraction(i == j) for j in range(n)]
-             for i, r in enumerate(m.data)], 2 * n)
+            [list(r) + e for r, e in zip(m.data, unit_vectors(n))], 2 * n)
+        solver = LinearSolver(m._columns(), m.rows, m._den)
         if pivots[:n] != list(range(n)):
+            assert not m.is_invertible()
             with pytest.raises(NoSolution):
-                m.inverse()
+                for e in unit_vectors(n):
+                    solver.solve(e)
         else:
-            assert m.inverse().data == tuple(tuple(r[n:]) for r in rows)
+            assert m.is_invertible()
+            for i, e in enumerate(unit_vectors(n)):
+                assert solver.solve(e) == tuple(r[n + i] for r in rows)
 
 
 class TestResidual:
@@ -305,6 +329,19 @@ class TestResidual:
             echelon = list(zip(big._rows, big.pivots))
             assert big.contains(small) == (not any(
                 list_scan_residual(r, echelon) for r in small._rows))
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        st.integers(0, 6).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+            max_size=5).map(lambda vs: Subspace(n, vs))),
+        subspace_pairs().map(lambda spaces: spaces[1])))
+    def test_complement_is_the_quotient_of_the_whole_space(self, sub):
+        n = sub.ambient_dim
+        kept = complement(sub)
+        assert kept == quotient_basis(image(Matrix.identity(n)), sub)
+        assert Subspace(n, list(sub.basis) + [unit_vectors(n)[i]
+                                              for i in kept]).dim == n
 
     @settings(deadline=None)
     @given(subspace_pairs(), st.data())
@@ -402,11 +439,12 @@ class TestEdgeCases:
         assert Subspace(m.cols, moved) == Subspace(m.cols, m.data)
 
     def test_inverse_errors(self):
-        with pytest.raises(DimensionMismatch):
-            Matrix([[1, 2, 3], [4, 5, 6]]).inverse()
+        assert not Matrix([[1, 2, 3], [4, 5, 6]]).is_invertible()
+        singular = Matrix([[1, 2], [2, 4]])
+        assert not singular.is_invertible()
         with pytest.raises(NoSolution):
-            Matrix([[1, 2], [2, 4]]).inverse()
-        assert Matrix([], cols=0).inverse() == Matrix([], cols=0)
+            solved_inverse(singular)
+        assert Matrix([], cols=0).is_invertible()
 
     @pytest.mark.parametrize("m", [
         Matrix([], cols=0), Matrix([], cols=3),
@@ -515,15 +553,15 @@ class TestDomainMatrixOracle:
     @given(any_matrix)
     def test_inverse(self, m):
         if m.rows != m.cols:
-            with pytest.raises(DimensionMismatch):
-                m.inverse()
+            assert not m.is_invertible()
             return
         dm = domain_matrix(m.data, (m.rows, m.cols))
         if dm.rank() < m.rows:
+            assert not m.is_invertible()
             with pytest.raises(NoSolution):
-                m.inverse()
+                solved_inverse(m)
         else:
-            assert [list(r) for r in m.inverse().data] == \
+            assert [list(r) for r in solved_inverse(m).data] == \
                 fraction_rows(dm.inv())
 
 
