@@ -33,7 +33,9 @@ class ChainComplex:
     """The graded pieces of a free or tabular DGA, with d per degree.
 
     The pieces are indexed by the algebra's degree_basis: monomials for a
-    free DGA, basis indices for a tabular one.
+    free DGA, basis indices for a tabular one.  The bases and their position
+    maps (degree_index) belong to the algebra, so a complex caches only its
+    d-matrices and solvers; free algebras of one shape share them.
     """
 
     def __init__(self, obj):
@@ -42,7 +44,6 @@ class ChainComplex:
                 f"expected DGA or TabularDGA, got {type(obj).__name__}")
         self.dga = obj
         self.algebra = obj.algebra
-        self._index = {}         # k -> {basis key: position}
         self._d_matrix = {}      # k -> Matrix (degree k -> k+1)
         self._exact_solver = {}  # k -> LinearSolver on the degree k-1 d-matrix
 
@@ -52,14 +53,8 @@ class ChainComplex:
     def dim(self, k):
         return len(self.basis(k))
 
-    def _positions(self, k):
-        idx = self._index.get(k)
-        if idx is None:
-            idx = self._index[k] = {b: i for i, b in enumerate(self.basis(k))}
-        return idx
-
     def coords(self, e, k):
-        idx = self._positions(k)
+        idx = self.algebra.degree_index(k)
         v = [Fraction(0)] * len(idx)
         for b, c in e.terms.items():
             v[idx[b]] = c
@@ -85,7 +80,7 @@ class ChainComplex:
     def columns(self, k, term_maps):
         """The matrix over the degree-k basis whose column j is the
         {basis key: coefficient} map term_maps[j] of a degree-k element."""
-        idx = self._positions(k)
+        idx = self.algebra.degree_index(k)
         return Matrix._of_columns(
             [{idx[t]: c for t, c in terms.items()} for terms in term_maps],
             len(idx))
@@ -94,7 +89,7 @@ class ChainComplex:
         """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
         m = self._d_matrix.get(k)
         if m is None:
-            idx = self._positions(k + 1)
+            idx = self.algebra.degree_index(k + 1)
             rows = [{} for _ in range(len(idx))]
             d_pairs = self.dga.d_pairs
             basis = self.basis(k)

@@ -231,9 +231,10 @@ class CohomologyAutomorphism:
             ys = summary.representatives[cr]
             a = Matrix([[pair(rx, y) for y in ys]
                         for rx in rho._images(r)], cols=len(ys))
-            if not a.is_invertible():
-                raise DegreeGap(f"cannot complete degree {cr} by duality")
+            # one elimination both solves and shows A invertible
             solver = exactla.LinearSolver(a._columns(), a.rows, a._den)
+            if not solver.rows == solver.cols == solver.rank:
+                raise DegreeGap(f"cannot complete degree {cr} by duality")
             mats[cr] = Matrix.from_columns(
                 [solver.solve([top_sign * pair(x, y)
                                for x in summary.representatives[r]])

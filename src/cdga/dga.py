@@ -18,8 +18,9 @@ integer d-matrix rows, and d_terms sums them over d_den for an element.
 TabularDGA is the finite-dimensional counterpart used as a morphism target:
 a basis with a product table and a (possibly zero) differential, e.g. a
 cohomology algebra (H^*, 0).  It is its own algebra: it provides the same
-interface as gca.Algebra (degree_basis, from_terms, key_degree, key_str,
-mul_terms), so its elements are gca.Elements keyed by basis index.
+interface as gca.Algebra (degree_basis, degree_index, from_terms,
+key_degree, key_str, mul_terms), so its elements are gca.Elements keyed by
+basis index.
 """
 
 from __future__ import annotations
@@ -227,6 +228,7 @@ class TabularDGA:
         self._by_degree = {}
         for i, d in enumerate(self.degrees):
             self._by_degree.setdefault(d, []).append(i)
+        self._indices = {}       # k -> {basis index: position in degree k}
 
         self.table = {}
         index, degrees, unit = self.index, self.degrees, self.unit
@@ -271,6 +273,15 @@ class TabularDGA:
 
     def degree_basis(self, k):
         return self._by_degree.get(k, [])
+
+    def degree_index(self, k):
+        """{basis index: position in degree_basis(k)}; a tabular DGA is its
+        own shape, so it caches the maps itself."""
+        idx = self._indices.get(k)
+        if idx is None:
+            idx = self._indices[k] = {b: i for i, b in
+                                        enumerate(self.degree_basis(k))}
+        return idx
 
     def key_degree(self, i):
         return self.degrees[i]

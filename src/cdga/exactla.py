@@ -280,7 +280,7 @@ class LinearSolver:
     """Repeated solving of m x = b, m the nrows x len(columns) matrix whose
     column j is the {row: int} map columns[j] over den: the elimination is
     done once, on [m^T | J] (see the module docstring).  Free variables are
-    set to zero.
+    set to zero.  rank is the rank of m.
     """
 
     def __init__(self, columns, nrows, den=1):
@@ -297,6 +297,7 @@ class LinearSolver:
             self._echelon[pc] = {j: x for j, x in row.items() if j < n}
             self._preimage[pc] = {last - j: x for j, x in row.items()
                                   if j >= n}
+        self.rank = len(self._echelon)
 
     def solve(self, b):
         if len(b) != self.rows:

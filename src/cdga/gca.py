@@ -17,11 +17,19 @@ generators in factor order, on an explicit stack, so no Python recursion
 limit bounds the number of generators.  A branch stops as soon as the next
 generator's degree exceeds the degree left to fill, since every later one is
 at least as large, so the enumeration costs about as much as the basis it
-returns.  Each Algebra caches its bases per degree.
+returns.
+
+The bases and their {monomial: position} maps depend only on the generator
+degrees in ordinal order, since monomials name generators by ordinal: (2, 3)
+and (3, 2) are different shapes.  So they live in a _Shape, one per degree
+sequence, shared by every Algebra of that sequence and filled as degrees are
+asked for.  The registry holds shapes weakly and each Algebra holds its own
+strongly, so a shape lives exactly as long as some algebra of it does.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -40,6 +48,60 @@ class Generator:
     ordinal: int
 
 
+class _Shape:
+    """The degree bases and position maps of the free algebras on one
+    sequence of generator degrees."""
+
+    __slots__ = ("degrees", "_order", "_bases", "_indices", "__weakref__")
+
+    def __init__(self, degrees):
+        self.degrees = degrees
+        # normal-form factor order
+        self._order = sorted(range(len(degrees)),
+                             key=lambda i: (degrees[i], i))
+        self._bases = {}     # k -> sorted list of degree-k monomials
+        self._indices = {}   # k -> {degree-k monomial: position}
+
+    def basis(self, k):
+        cached = self._bases.get(k)
+        if cached is not None:
+            return cached
+        if k < 0:
+            raise ValueError("degree must be >= 0")
+        order, degrees = self._order, self.degrees
+        out = []
+        # (next position in factor order, degree left, monomial so far)
+        stack = [(0, k, ())]
+        while stack:
+            pos, rem, acc = stack.pop()
+            if rem == 0:
+                out.append(acc)
+                continue
+            # factors come in degree order: once one is too big, all are
+            if pos == len(order) or degrees[order[pos]] > rem:
+                continue
+            gi = order[pos]
+            d = degrees[gi]
+            stack.append((pos + 1, rem, acc))
+            top = min(rem // d, 1) if d % 2 else rem // d
+            for e in range(1, top + 1):
+                stack.append((pos + 1, rem - e * d, acc + ((gi, e),)))
+        out.sort()
+        self._bases[k] = out
+        return out
+
+    def index(self, k):
+        idx = self._indices.get(k)
+        if idx is None:
+            idx = self._indices[k] = {b: i for i, b in
+                                      enumerate(self.basis(k))}
+        return idx
+
+
+# generator degrees in ordinal order -> the _Shape of the live algebras
+_shapes = weakref.WeakValueDictionary()
+
+
 class Algebra:
     """A free graded-commutative algebra on named generators of degree >= 1."""
 
@@ -55,10 +117,10 @@ class Algebra:
             gens.append(Generator(name, int(degree), ordinal))
         self.generators = tuple(gens)
         self._by_name = {g.name: g for g in self.generators}
-        # normal-form factor order
-        self._sorted = sorted(range(len(gens)),
-                              key=lambda i: (gens[i].degree, i))
-        self._basis_cache = {}
+        degrees = tuple(g.degree for g in gens)
+        self._shape = _shapes.get(degrees)
+        if self._shape is None:
+            self._shape = _shapes[degrees] = _Shape(degrees)
 
     def __repr__(self):
         inner = ",".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -155,34 +217,13 @@ class Algebra:
         return out
 
     def degree_basis(self, k):
-        """All normal-form monomials of degree k, deterministically ordered."""
-        if k < 0:
-            raise ValueError("degree must be >= 0")
-        cached = self._basis_cache.get(k)
-        if cached is not None:
-            return cached
-        order = self._sorted
-        gens = self.generators
-        out = []
-        # (next position in factor order, degree left, monomial so far)
-        stack = [(0, k, ())]
-        while stack:
-            pos, rem, acc = stack.pop()
-            if rem == 0:
-                out.append(acc)
-                continue
-            # factors come in degree order: once one is too big, all are
-            if pos == len(order) or gens[order[pos]].degree > rem:
-                continue
-            gi = order[pos]
-            d = gens[gi].degree
-            stack.append((pos + 1, rem, acc))
-            top = min(rem // d, 1) if d % 2 else rem // d
-            for e in range(1, top + 1):
-                stack.append((pos + 1, rem - e * d, acc + ((gi, e),)))
-        out.sort()
-        self._basis_cache[k] = out
-        return out
+        """All normal-form monomials of degree k, deterministically ordered.
+        The list is shared by every algebra of this one's shape."""
+        return self._shape.basis(k)
+
+    def degree_index(self, k):
+        """{monomial: position in degree_basis(k)}, shared as the basis is."""
+        return self._shape.index(k)
 
 
 def linear_combination(pairs):

@@ -448,16 +448,20 @@ def formality(obj, dimension, s=None, cap=None,
     Tries, in order: the dimension-7 b2 shortcut, a Massey-product
     obstruction search (NonFormal), and the s-formality check on a minimal
     model (Formal).  Anything else is Inconclusive.  A precomputed cohomology
-    summary of obj covering the degree cap may be passed in.
+    summary of obj covering the degree cap may be passed in.  A cap below 2
+    raises BoundTooLow.
     """
     cap = cap if cap is not None else dimension + 1
     s = s if s is not None else required_s(dimension)
+    # the shortcut and the Massey search read b1 and b2; below degree 2
+    # they would read guesses
+    if cap < 2:
+        raise BoundTooLow("cap must be >= 2")
     if summary is None:
         summary = compute(obj, cap, with_cup=False)
     else:
         _require_cover(summary, obj, cap)
-    b1 = summary.betti[1] if cap >= 1 else 0
-    b2 = summary.betti[2] if cap >= 2 else 0
+    b1, b2 = summary.betti[1], summary.betti[2]
 
     if dimension == 7 and b1 == 0:
         hit = formality_shortcut(b1, b2, 7)

@@ -431,6 +431,13 @@ class TestBadInput:
                                    "--max-degree", "2"], stdin_text=s3_text))
         assert error["kind"] == "BoundTooLow"
 
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_formality_cap_below_two(self, cap):
+        _, q_text = run_cli(["corpus", "q111"])
+        error = error_of(*run_cli(["formality", "-", "--dimension", "7",
+                                   "--cap", cap], stdin_text=q_text))
+        assert error["kind"] == "BoundTooLow"
+
     @pytest.mark.parametrize("value", [{"w": "1"}, {"w": "-1"}])
     def test_a_pair_given_in_both_orders(self, value):
         # u*s = w, and s*u = w agrees with it by graded commutativity, while

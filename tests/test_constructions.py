@@ -228,6 +228,18 @@ class TestAutomorphisms:
                            match="cannot complete degree 2 by duality"):
             CohomologyAutomorphism.from_partial(h, {1: [[1]]}, top_degree=3)
 
+    def test_singular_pairing_cannot_complete(self):
+        # H^1 = <x1, x2>, H^2 = <y1, y2>, and only x1*y1 = z: the pairing
+        # matrix [[1, 0], [0, 0]] is square and nonzero but singular
+        h = compute(TabularDGA(
+            [("1", 0), ("x1", 1), ("x2", 1), ("y1", 2), ("y2", 2), ("z", 3)],
+            {("x1", "y1"): {"z": 1}}), 3, with_cup=False)
+        assert h.betti == [1, 2, 2, 1]
+        with pytest.raises(DegreeGap,
+                           match="cannot complete degree 2 by duality"):
+            CohomologyAutomorphism.from_partial(
+                h, {1: [[1, 0], [0, 1]]}, top_degree=3)
+
 
 def _det(rows):
     """The determinant of a matrix of at most 2 x 2."""

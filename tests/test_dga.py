@@ -365,6 +365,13 @@ class TestTabular:
     def test_validate_clean(self):
         assert self.tab_sphere().validate() == []
 
+    def test_degree_index_is_cached_per_object(self):
+        tab = TabularDGA([("1", 0), ("u", 3), ("s", 2), ("v", 3)])
+        assert tab.degree_basis(3) == [1, 3]
+        assert tab.degree_index(3) == {1: 0, 3: 1}
+        assert tab.degree_index(3) is tab.degree_index(3)
+        assert tab.degree_index(5) == {}
+
     def test_integral_entries_are_ints_and_coefficients_fractions(self):
         tab = TabularDGA([("1", 0), ("s", 2), ("u", 3), ("t", 4)],
                          {("s", "s"): {"t": Fraction(2)}},

@@ -305,11 +305,13 @@ class TestColumnSolver:
         solver = LinearSolver(m._columns(), m.rows, m._den)
         if pivots[:n] != list(range(n)):
             assert not m.is_invertible()
+            assert solver.rank < n
             with pytest.raises(NoSolution):
                 for e in unit_vectors(n):
                     solver.solve(e)
         else:
             assert m.is_invertible()
+            assert solver.rank == n
             for i, e in enumerate(unit_vectors(n)):
                 assert solver.solve(e) == tuple(r[n + i] for r in rows)
 
@@ -513,6 +515,7 @@ class TestDomainMatrixOracle:
         dm = domain_matrix(m.data, (m.rows, m.cols))
         rank = dm.rank()
         assert m.rank() == rank
+        assert LinearSolver(m._columns(), m.rows, m._den).rank == rank
         k = kernel(m)
         assert k.dim == m.cols - rank
         assert k == Subspace(m.cols, fraction_rows(dm.nullspace()))

@@ -1,10 +1,12 @@
 """Free graded-commutative algebra: normal form, signs, graded bases."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdga import gca
 from cdga.errors import MixedAlgebra
 from cdga.gca import Algebra
 
@@ -162,3 +164,61 @@ class TestProperties:
         assert len(basis) == poincare_coefficient(degrees, k)
         assert basis == sorted(set(basis))
         assert all(alg.key_degree(m) == k for m in basis)
+
+
+def positions(basis):
+    return {m: i for i, m in enumerate(basis)}
+
+
+class TestShapeTable:
+    """Algebras on one sequence of generator degrees share their bases and
+    position maps, for as long as one of them lives."""
+
+    def test_same_degrees_share_bases_and_positions(self):
+        one = Algebra([("a", 2), ("x", 3), ("b", 2)])
+        other = Algebra([("p", 2), ("q", 3), ("r", 2)])
+        for k in range(10):
+            assert one.degree_basis(k) is other.degree_basis(k)
+            assert one.degree_index(k) == other.degree_index(k)
+            assert one.degree_index(k) == positions(one.degree_basis(k))
+
+    def test_degree_order_is_part_of_the_shape(self):
+        # monomials name generators by ordinal
+        ax = Algebra([("a", 2), ("x", 3)])
+        xa = Algebra([("x", 3), ("a", 2)])
+        assert ax.degree_basis(5) == [((0, 1), (1, 1))]
+        assert xa.degree_basis(5) == [((1, 1), (0, 1))]
+        assert ([ax.key_str(m) for m in ax.degree_basis(5)]
+                == [xa.key_str(m) for m in xa.degree_basis(5)] == ["a*x"])
+        assert ax.degree_index(4) != xa.degree_index(4)
+
+    def test_shape_lives_as_long_as_an_algebra_of_it(self):
+        degrees = (4, 9, 4, 11, 6)      # no other test builds this shape
+        first = Algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+        second = Algebra([(f"h{i}", d) for i, d in enumerate(degrees)])
+        first.degree_basis(17)
+        del first
+        gc.collect()
+        assert degrees in gca._shapes
+        assert second.degree_basis(17) == recursive_degree_basis(degrees, 17)
+        del second
+        gc.collect()
+        assert degrees not in gca._shapes
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError):
+            small_algebra().degree_index(-1)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 7), max_size=9), st.integers(0, 16),
+           st.integers(0, 16))
+    def test_rebuilt_shape_matches_unpruned_recursion(self, degrees, j, k):
+        earlier = Algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+        earlier.degree_basis(j)
+        earlier.degree_index(j)
+        del earlier
+        gc.collect()
+        alg = Algebra([(f"h{i}", d) for i, d in enumerate(degrees)])
+        for n in (j, k):
+            assert alg.degree_basis(n) == recursive_degree_basis(degrees, n)
+            assert alg.degree_index(n) == positions(alg.degree_basis(n))

@@ -371,6 +371,16 @@ class TestFormalityDriver:
         assert verdict.status == "Formal"
         assert verdict.witness["kind"] == "b2_shortcut"
 
+    @pytest.mark.parametrize("cap", [-1, 0, 1])
+    def test_cap_below_two_is_refused(self, q111, cap):
+        # the b2 shortcut on unread b1 and b2 would answer Formal for
+        # Q(1,1,1), which criterion 1 shows NonFormal
+        with pytest.raises(BoundTooLow, match="^cap must be >= 2$"):
+            formality(q111, 7, cap=cap)
+        with pytest.raises(BoundTooLow, match="^cap must be >= 2$"):
+            formality(q111, 7, cap=cap,
+                      summary=compute(q111, 7, with_cup=False))
+
     def test_nonminimal_with_h1_is_inconclusive(self):
         alg = Algebra([("b", 1), ("a", 2), ("c", 1)])
         obj = DGA(alg, Differential(alg, {"b": alg.gen("a")}))
