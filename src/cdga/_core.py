@@ -20,18 +20,27 @@ is zero at every other pivot column and at every column left of its pivot.
 Dividing each pivot row by its pivot entry therefore gives the reduced row
 echelon form over Q, which is unique for the row space.  Pivot columns are
 taken in column order, which keeps output bases deterministic.
+
+A caller may give another column order, and the pivot columns are then
+taken in that order.  In descending order (exactla.kernel's) the argument
+above runs mirrored: each pivot row is zero at every other pivot column and
+at every column right of its pivot, which is the RREF of the column-reversed
+matrix read back.
 """
 
 from collections import defaultdict
 from math import gcd
 
 
-def rref_int(rows, ncols):
+def rref_int(rows, ncols, order=None):
     """Sparse fraction-free Gauss-Jordan on a list of {col: int} rows.
 
     Returns (rows, pivots): one primitive {col: int} row per pivot column,
     in pivot order.  Row i divided by its entry at pivots[i] is row i of the
     rational RREF; zero rows are dropped.  The input rows are not modified.
+    order, all of range(ncols) in the order pivot columns are taken,
+    defaults to ascending; the RREF is then the one of the matrix with its
+    columns in that order.
     """
     pending = {}                   # input position -> row not yet a pivot
     pending_at = defaultdict(set)  # col -> positions of pending rows there
@@ -43,7 +52,7 @@ def rref_int(rows, ncols):
     done = []                      # pivot rows, in pivot order
     done_at = defaultdict(set)     # col -> indices of pivot rows there
     pivots = []
-    for c in range(ncols):
+    for c in range(ncols) if order is None else order:
         if not pending:
             break
         holders = pending_at.pop(c, None)

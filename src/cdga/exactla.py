@@ -14,7 +14,10 @@ right-hand side) and dga's generator images.  Rows are eliminated with
 _core.rref_int, which returns ([], []) when no row is nonzero.  A
 subspace is its primitive RREF rows and their pivot columns;
 quotient_basis returns indices of such rows, and complement(sub) those of
-the unit vectors completing sub to Q^n, with no identity matrix built.  A
+the unit vectors completing sub to Q^n, with no identity matrix built.
+kernel eliminates once, with pivot columns in descending order: the
+vectors it reads off m's free columns are then already the kernel's RREF
+rows (see kernel), so they are not eliminated again.  A
 Matrix has no inverse: a LinearSolver on A gives A^-1 b.  Dense Fraction
 tuples are built only where a caller reads them: Matrix.data and
 Subspace.basis (each on first read), rref_rows and LinearSolver.solve.
@@ -31,8 +34,9 @@ before it gives a kernel vector whose support ends at j; reversed, its
 leading entry is j's tail position, so the tail pivots are m's free columns
 and full reduction leaves every u zero there.  Summing the u over b's
 coordinates on the RREF thus gives the solution with free variables zero,
-as a row elimination of [m | b] does.  Pivot choice is always the first
-nonzero entry in column order, so every derived basis is deterministic.
+as a row elimination of [m | b] does.  The pivot row is always the first
+row holding the column, and columns are taken in a fixed order (ascending
+everywhere but in kernel), so every derived basis is deterministic.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from ._core import _clear, rref_int
+from ._core import _clear, _primitive, rref_int
 from .errors import DimensionMismatch, NoSolution
 
 
@@ -206,6 +210,15 @@ class Subspace:
         s._set(ambient_dim, rows)
         return s
 
+    @classmethod
+    def _of_rref(cls, ambient_dim, rows, pivots):
+        """The span of primitive {col: int} RREF rows with these pivots,
+        kept as they are."""
+        s = cls.__new__(cls)
+        s.ambient_dim = ambient_dim
+        s._rows, s.pivots, s._basis = rows, tuple(pivots), None
+        return s
+
     def _set(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
         self._rows, pivots = rref_int(rows, ambient_dim)
@@ -252,23 +265,31 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space of m, as a subspace of Q^cols."""
-    rows, pivots = rref_int(m._int, m.cols)
+    """Null space of m, as a subspace of Q^cols, from one elimination.
+
+    m's rows are eliminated with pivot columns in descending order, so each
+    pivot row is zero at the other pivot columns and right of its pivot.
+    The vector read off a free column f, which is nonzero only at f and at
+    the pivots of the rows holding f, then has its lowest entry at f and is
+    zero at every other free column: made primitive, these vectors are the
+    kernel's RREF rows, pivot entries positive, in ascending order of f.
+    """
+    rows, pivots = rref_int(m._int, m.cols, range(m.cols - 1, -1, -1))
     pivset = set(pivots)
     hits = {}   # column -> the (row, pivot) pairs whose row holds it
     for r, pc in zip(rows, pivots):
         for c in r:
             hits.setdefault(c, []).append((r, pc))
+    free = [fc for fc in range(m.cols) if fc not in pivset]
     vectors = []
-    for fc in range(m.cols):
-        if fc not in pivset:
-            # x_fc = den and x_pc = -den * row[fc] / row[pc] for each pivot row
-            hit = hits.get(fc, ())
-            den = math.lcm(*(r[pc] for r, pc in hit))
-            v = {pc: -r[fc] * den // r[pc] for r, pc in hit}
-            v[fc] = den
-            vectors.append(v)
-    return Subspace._of_rows(m.cols, vectors)
+    for fc in free:
+        # x_fc = den and x_pc = -den * row[fc] / row[pc] for each pivot row
+        hit = hits.get(fc, ())
+        den = math.lcm(*(r[pc] for r, pc in hit))
+        v = {pc: -r[fc] * den // r[pc] for r, pc in hit}
+        v[fc] = den
+        vectors.append(_primitive(v))
+    return Subspace._of_rref(m.cols, vectors, free)
 
 
 def image(m: Matrix) -> Subspace:

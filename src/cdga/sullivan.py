@@ -6,7 +6,10 @@ then generators of degree k whose differentials kill the kernel of
 H^{k+1}(model) -> H^{k+1}(target).  Each stage computes the model's
 cohomology once, before (a): every generator has degree >= 2, so no
 degree-(k+1) monomial holds a closed generator of degree k, and (a) leaves
-H^{k+1}, its representatives and their images as they were.
+H^{k+1}, its representatives and their images as they were.  One
+monomial -> image memo serves every stage's morphism to the target and
+the one returned: generators are only appended and no generator's image
+changes, so an image computed at one stage holds at every later one.
 
 The s-formality check uses the canonical splitting C^i = ker(d|V^i) with
 the echelon complement as N^i.  Its ideal elements are the images of
@@ -57,7 +60,10 @@ class DgaMorphism:
 
     def _image(self, mono):
         """Image of a normal-form monomial, as image(prefix) * image(last
-        factor); each monomial and prefix is evaluated once per morphism."""
+        factor); each monomial and prefix is evaluated once per memo.  The
+        memo is keyed by generator ordinals, so a morphism whose domain
+        extends another's by appended generators, with the same images on
+        the old ones, may take over its memo (minimal_model's stages do)."""
         memo = self._mono_images
         img = memo.get(mono)
         chain = []
@@ -188,8 +194,14 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
 
     gens = []            # (name, degree), append-only
     d_images = {}        # name -> Element (of the latest algebra)
-    phi_images = {}      # name -> target element
+    phi_images = {}      # name -> target element, never reassigned
+    memo = {(): target.one()}  # monomial -> image, for every stage's phi
     ledger = {}
+
+    def morphism():
+        phi = DgaMorphism(model, target, phi_images)
+        phi._mono_images = memo
+        return phi
 
     def build():
         alg = Algebra(gens)
@@ -203,7 +215,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         ledger[k] = {"surjective": [], "kernel": []}
         _guard_dims(model.algebra, k, max_dim)
         summary = compute(model, k + 1, with_cup=False)
-        phi = DgaMorphism(model, target, phi_images)
+        phi = morphism()
 
         # (a) closed generators to surject onto H^k(target)
         img = exactla.image(induced(phi, summary, target_summary, k))
@@ -234,8 +246,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
             model = build()
         _guard_gens(k, len(gens), max_gens)
 
-    morphism = DgaMorphism(model, target, phi_images)
-    return SullivanModel(dga=model, morphism=morphism, target=target,
+    return SullivanModel(dga=model, morphism=morphism(), target=target,
                          built_degree=max_degree,
                          target_summary=target_summary, stage_ledger=ledger)
 
@@ -449,7 +460,8 @@ def formality(obj, dimension, s=None, cap=None,
     obstruction search (NonFormal), and the s-formality check on a minimal
     model (Formal).  Anything else is Inconclusive.  A precomputed cohomology
     summary of obj covering the degree cap may be passed in.  A cap below 2
-    raises BoundTooLow.
+    raises BoundTooLow; so does a cap below s + 1 when no Massey product
+    answers and the s-formality check would run, before any model is built.
     """
     cap = cap if cap is not None else dimension + 1
     s = s if s is not None else required_s(dimension)
@@ -480,7 +492,11 @@ def formality(obj, dimension, s=None, cap=None,
                      "indeterminacy_dim": res.indeterminacy.dim},
             notes=["non-vanishing triple Massey product obstructs formality"])
 
-    if isinstance(obj, DGA) and obj.is_minimal():
+    minimal = isinstance(obj, DGA) and obj.is_minimal()
+    if (minimal or b1 == 0) and cap < s + 1:
+        # the s-formality check needs the cap; refuse before building a model
+        raise BoundTooLow(f"cap {cap} must be >= s + 1 = {s + 1}")
+    if minimal:
         return s_formality_check(obj, s, cap, formal_dimension=dimension,
                                  max_dim=max_dim)
     if b1 == 0:

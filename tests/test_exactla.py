@@ -239,6 +239,84 @@ def _eliminations(m):
              m.rows + m.cols)]
 
 
+def two_elimination_kernel(m):
+    """(rows, pivots) of m's null space by two eliminations: m's rows with
+    ascending pivots, the vector of each free column read off them, then
+    the RREF of those vectors."""
+    rows, pivots = _core.rref_int(m._int, m.cols)
+    vectors = []
+    for fc in range(m.cols):
+        if fc not in pivots:
+            hit = [(r, pc) for r, pc in zip(rows, pivots) if fc in r]
+            den = math.lcm(*(r[pc] for r, pc in hit))
+            v = {pc: -r[fc] * den // r[pc] for r, pc in hit}
+            v[fc] = den
+            vectors.append(v)
+    return _core.rref_int(vectors, m.cols)
+
+
+def same_up_to_sign(a, b):
+    return len(a) == len(b) and all(
+        x == y or x == {j: -v for j, v in y.items()} for x, y in zip(a, b))
+
+
+class TestKernelReadOff:
+    """kernel reads the null space's RREF off one descending elimination;
+    max_examples comes from the profile."""
+
+    @settings(deadline=None)
+    @given(st.one_of(sparse_matrices(), matrices))
+    def test_matches_two_eliminations(self, m):
+        rows, pivots = two_elimination_kernel(m)
+        k = kernel(m)
+        assert k.pivots == tuple(pivots)
+        assert same_up_to_sign(k._rows, rows)
+
+    def test_matches_two_eliminations_on_corpus_d_matrices(self):
+        checked = 0
+        for name in ("q111", "berger", "x6"):
+            chain = ChainComplex(corpus(name).obj)
+            for k in range(9):
+                m = chain.d_matrix(k)
+                rows, pivots = two_elimination_kernel(m)
+                got = kernel(m)
+                assert got.pivots == tuple(pivots), (name, k)
+                assert same_up_to_sign(got._rows, rows), (name, k)
+                checked += got.dim
+        assert checked > 50
+
+    @settings(deadline=None)
+    @given(st.one_of(sparse_matrices(), matrices))
+    def test_rows_are_primitive_with_positive_pivots(self, m):
+        k = kernel(m)
+        for row, c in zip(k._rows, k.pivots):
+            assert min(row) == c and row[c] > 0
+            assert math.gcd(*row.values()) == 1
+
+    @settings(deadline=None)
+    @given(st.one_of(sparse_matrices(), matrices))
+    def test_descending_order_is_the_rref_of_the_reversed_matrix(self, m):
+        n = m.cols
+        reduced, pivots = _core.rref_int(m._int, n, range(n - 1, -1, -1))
+        oracle_rows, oracle_pivots = naive_rref(
+            [row[::-1] for row in m.data], n)
+        assert pivots == [n - 1 - c for c in oracle_pivots]
+        assert rational_rref(reduced, pivots, n) == \
+            [row[::-1] for row in oracle_rows]
+
+    def test_one_elimination(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _core.rref_int(*args)
+
+        monkeypatch.setattr(exactla, "rref_int", counting)
+        m = ChainComplex(corpus("q111").obj).d_matrix(5)
+        assert kernel(m).dim > 0
+        assert len(calls) == 1
+
+
 def free_zero_solution(m, b):
     """The solution of m x = b with free variables zero, read from
     naive_rref of [m | b]; None when [m | b] has a pivot in the b column."""

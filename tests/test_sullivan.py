@@ -257,6 +257,22 @@ class TestMinimalModel:
         for _, got, want in seen:
             assert (got._rows, got.pivots) == (want._rows, want.pivots)
 
+    @pytest.mark.parametrize("name", ["s_3", "q111"])
+    def test_stage_memo_holds_fresh_images(self, name, q111):
+        # one monomial -> image memo serves every stage's phi and the
+        # returned morphism; each entry must be what a new morphism with
+        # the same generator images computes
+        target = q111 if name == "q111" else s_k_model(3)[0]
+        model = minimal_model(target, 5)
+        f = model.morphism
+        fresh = DgaMorphism(f.domain, target, {
+            g.name: f.images[g.ordinal] for g in f.domain.algebra.generators})
+        memo = f._mono_images
+        assert len(memo) > 1
+        for mono, img in memo.items():
+            assert img == fresh._image(mono), mono
+        assert model.stage_ledger == recomputing_minimal_model(target, 5)[1]
+
     def test_q111_model_matches_to_degree_five(self, q111):
         model = minimal_model(q111, 5)
         ok, _ = is_quasi_iso(model.morphism, 5)
@@ -380,6 +396,39 @@ class TestFormalityDriver:
         with pytest.raises(BoundTooLow, match="^cap must be >= 2$"):
             formality(q111, 7, cap=cap,
                       summary=compute(q111, 7, with_cup=False))
+
+    @pytest.mark.parametrize("name, dimension", [("q110", 7), ("cp2", 8)])
+    def test_cap_below_s_plus_one_is_refused_before_a_model(
+            self, name, dimension, cp2, monkeypatch):
+        # q110 would need a minimal model, cp2 is minimal itself; neither
+        # has a Massey product below the cap, and s = 3 needs cap >= 4
+        # (dimension 8 keeps cp2 off the dimension-7 b2 shortcut)
+        obj = q_model((1, 1, 0)) if name == "q110" else cp2
+        seen = []
+
+        def spy(fn):
+            def wrapped(*args, **kw):
+                seen.append(fn.__name__)
+                return fn(*args, **kw)
+            return wrapped
+
+        monkeypatch.setattr(sullivan, "minimal_model",
+                            spy(sullivan.minimal_model))
+        monkeypatch.setattr(sullivan, "s_formality_check",
+                            spy(sullivan.s_formality_check))
+        with pytest.raises(BoundTooLow,
+                           match=r"^cap 3 must be >= s \+ 1 = 4$"):
+            formality(obj, dimension, cap=3)
+        assert seen == []
+
+    def test_massey_answer_below_s_plus_one_is_kept(self):
+        # the Massey search runs before the cap is checked against s
+        alg = Algebra([("x", 1), ("y", 1), ("z", 1)])
+        heisenberg = DGA(alg, Differential(
+            alg, {"z": alg.gen("x") * alg.gen("y")}))
+        verdict = formality(heisenberg, 7, cap=2)
+        assert verdict.status == "NonFormal"
+        assert verdict.witness["classes"] == ["x", "x", "y"]
 
     def test_nonminimal_with_h1_is_inconclusive(self):
         alg = Algebra([("b", 1), ("a", 2), ("c", 1)])
