@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import exactla
 from .cohomology import CohomologySummary, compute
-from .dga import DGA, Differential, TabularDGA
+from .dga import DGA, TabularDGA
 from .errors import (DegreeGap, NotACocycle, ParamOutOfRange,
                      UnknownCorpusEntry, WrongDegree)
 from .exactla import Matrix
@@ -39,11 +39,10 @@ def circle_bundle_model(base, e):
         gens = [(g.name, g.degree) for g in base.algebra.generators]
         gens.append((yname, 1))
         alg = Algebra(gens)
-        imgs = {g.name: Element(alg, dict(
-                    base.differential.of_generator(g.ordinal).terms))
+        imgs = {g.name: Element(alg, dict(base.images[g.ordinal].terms))
                 for g in base.algebra.generators}
         imgs[yname] = Element(alg, dict(e.terms))
-        return DGA(alg, Differential(alg, imgs))
+        return DGA(alg, imgs)
     return _tabular_circle_bundle(base, e)
 
 
@@ -103,7 +102,7 @@ def _tabular_circle_bundle(base: TabularDGA, e):
 def s4_model() -> DGA:
     """Lambda(a_4, u_7), du = a^2: the rational model of the 4-sphere."""
     alg = Algebra([("a", 4), ("u", 7)])
-    return DGA(alg, Differential(alg, {"u": alg.gen("a") ** 2}))
+    return DGA(alg, {"u": alg.gen("a") ** 2})
 
 
 def s3_bundle_model(base_s4: DGA, e) -> DGA:
@@ -118,20 +117,20 @@ def s3_bundle_model(base_s4: DGA, e) -> DGA:
     bname = "b" if "b" not in (aname, uname) else "b0"
     alg = Algebra([(bname, 3), (aname, 4), (uname, 7)])
     a = alg.gen(aname)
-    return DGA(alg, Differential(alg, {bname: a * Fraction(e), uname: a ** 2}))
+    return DGA(alg, {bname: a * Fraction(e), uname: a ** 2})
 
 
 def cp2_model() -> DGA:
     """Lambda(a_2, x_5), dx = a^3: the rational model of CP^2."""
     alg = Algebra([("a", 2), ("x", 5)])
-    return DGA(alg, Differential(alg, {"x": alg.gen("a") ** 3}))
+    return DGA(alg, {"x": alg.gen("a") ** 3})
 
 
 def lens_bundle_cp2_model(e) -> DGA:
     """Rational S^3-fibration over CP^2: Lambda(a_2, u_3, x_5), du = e*a^2."""
     alg = Algebra([("a", 2), ("u", 3), ("x", 5)])
     a = alg.gen("a")
-    return DGA(alg, Differential(alg, {"x": a ** 3, "u": a * a * Fraction(e)}))
+    return DGA(alg, {"x": a ** 3, "u": a * a * Fraction(e)})
 
 
 def s1s2_bundle_cp2_model(e, f, h):
@@ -145,11 +144,11 @@ def s1s2_bundle_cp2_model(e, f, h):
     f_tilde = Fraction(f) - Fraction(h) ** 2 / 4
     alg = Algebra([("b", 1), ("a", 2), ("c", 2), ("y", 3), ("x", 5)])
     a, c = alg.gen("a"), alg.gen("c")
-    dga = DGA(alg, Differential(alg, {
+    dga = DGA(alg, {
         "b": a * Fraction(e),
         "y": c * c + a * a * f_tilde,
         "x": a ** 3,
-    }))
+    })
     ledger = {"e": Fraction(e), "f": Fraction(f), "h": Fraction(h),
               "f_tilde": f_tilde, "g": Fraction(0)}
     return dga, ledger
@@ -375,8 +374,7 @@ def s2_cubed_model() -> DGA:
     """Model of (S^2)^3: Lambda(a_i:2, x_i:3), dx_i = a_i^2."""
     gens = [(f"a{i}", 2) for i in (1, 2, 3)] + [(f"x{i}", 3) for i in (1, 2, 3)]
     alg = Algebra(gens)
-    return DGA(alg, Differential(alg, {
-        f"x{i}": alg.gen(f"a{i}") ** 2 for i in (1, 2, 3)}))
+    return DGA(alg, {f"x{i}": alg.gen(f"a{i}") ** 2 for i in (1, 2, 3)})
 
 
 def q_model(e=(1, 1, 1)) -> DGA:
@@ -425,13 +423,12 @@ def del_pezzo_s2_tabular(k) -> TabularDGA:
 def s_k_model(k, epsilon=None, big_n=None):
     """Circle bundle over (H^*(P_k x S^2), 0) with Euler class
     N*(a - sum_i eps_i a_i + b); returns (TabularDGA, parameter ledger)."""
+    k = _integer("k", k)
     if not 3 <= k <= 8:
         raise ParamOutOfRange("k must satisfy 3 <= k <= 8")
-    eps = [Fraction(x) for x in (epsilon if epsilon is not None
-                                 else [Fraction(1, 2 * k)] * k)]
-    if len(eps) != k:
-        raise ParamOutOfRange(f"expected {k} epsilon values")
-    big_n = int(big_n) if big_n is not None else 2 * k
+    eps = _rationals("epsilon", epsilon if epsilon is not None
+                     else [Fraction(1, 2 * k)] * k, k)
+    big_n = _integer("N", big_n) if big_n is not None else 2 * k
     if big_n <= 0:
         raise ParamOutOfRange("N must be positive")
     if any(e <= 0 for e in eps):
@@ -445,7 +442,7 @@ def s_k_model(k, epsilon=None, big_n=None):
     for i, e in enumerate(eps, start=1):
         expr = expr - base.gen(f"a{i}") * e
     expr = expr * Fraction(big_n)
-    ledger = {"k": k, "epsilon": tuple(eps), "N": big_n}
+    ledger = {"k": k, "epsilon": eps, "N": big_n}
     return circle_bundle_model(base, expr), ledger
 
 
@@ -454,20 +451,19 @@ def x6_model(f=1) -> DGA:
     dx = a^3."""
     alg = Algebra([("a", 2), ("c", 2), ("y", 3), ("x", 5)])
     a, c = alg.gen("a"), alg.gen("c")
-    return DGA(alg, Differential(alg, {
-        "y": c * c + a * a * Fraction(f), "x": a ** 3}))
+    return DGA(alg, {"y": c * c + a * a * Fraction(f), "x": a ** 3})
 
 
 def _free_line_model():
     """Lambda(a_1), d = 0."""
     alg = Algebra([("a", 1)])
-    return DGA(alg, Differential(alg, {}))
+    return DGA(alg, {})
 
 
 def _circle_times_s2_like_model():
     """Lambda(a_1, b_2, x_3), dx = b^2: minimal model with Betti 1,1,1,1."""
     alg = Algebra([("a", 1), ("b", 2), ("x", 3)])
-    return DGA(alg, Differential(alg, {"x": alg.gen("b") ** 2}))
+    return DGA(alg, {"x": alg.gen("b") ** 2})
 
 
 def _q111_torus_entry(max_degree=7):
@@ -530,28 +526,27 @@ def corpus(name, **params) -> CorpusEntry:
     """A named, validated example model with its parameter ledger."""
     key = name.lower().replace("_", "-")
     if key == "q111":
-        e = tuple(params.pop("e", (1, 1, 1)))
+        e = params.pop("e", (1, 1, 1))
         _reject_extra(params)
-        if len(e) != 3:
-            raise ParamOutOfRange("e must have three components")
+        _rationals("e", e, 3)
         return CorpusEntry(
             name="q111", kind="dga", obj=q_model(e), dimension=7,
-            parameters={"e": e},
+            parameters={"e": tuple(e)},
             provenance=[f"circle bundle over (S^2)^3 with Euler class "
                         f"{e[0]}*a1 + {e[1]}*a2 + {e[2]}*a3"])
     if key in ("s-k", "sk"):
         if "k" not in params:
             raise ParamOutOfRange("s_k needs the parameter k")
-        k = int(params.pop("k"))
+        k = params.pop("k")
         eps = params.pop("epsilon", None)
         big_n = params.pop("N", None)
         _reject_extra(params)
         obj, ledger = s_k_model(k, eps, big_n)
         return CorpusEntry(
-            name=f"s_{k}", kind="tabular", obj=obj, dimension=7,
+            name=f"s_{ledger['k']}", kind="tabular", obj=obj, dimension=7,
             parameters=ledger,
             provenance=["circle bundle over the formal model of "
-                        f"P_{k} x S^2 with Euler class "
+                        f"P_{ledger['k']} x S^2 with Euler class "
                         "N*(a - sum_i eps_i*a_i + b)"],
             metadata={"defaults": "epsilon_i = 1/(2k), N = 2k"})
     if key == "berger":
@@ -561,8 +556,8 @@ def corpus(name, **params) -> CorpusEntry:
             dimension=7, parameters={"e": -10},
             provenance=["S^3-bundle over S^4 with Euler number -10"])
     if key == "aloff-wallach":
-        k = int(params.pop("k", 1))
-        l = int(params.pop("l", 1))
+        k = _integer("k", params.pop("k", 1))
+        l = _integer("l", params.pop("l", 1))
         _reject_extra(params)
         if k == 0 and l == 0:
             raise ParamOutOfRange("(k, l) must be nonzero")
@@ -581,11 +576,11 @@ def corpus(name, **params) -> CorpusEntry:
             metadata={"note": "torsion between lens fibres is invisible "
                               "rationally; recorded as metadata only"})
     if key == "x6":
-        f = params.pop("f", 1)
+        f = _rational("f", params.pop("f", 1))
         _reject_extra(params)
         return CorpusEntry(
             name="x6", kind="dga", obj=x6_model(f), dimension=6,
-            parameters={"f": Fraction(f)},
+            parameters={"f": f},
             provenance=["S^2-bundle over CP^2 with twisting coefficient f"])
     if key == "q111-torus":
         _reject_extra(params)
@@ -607,3 +602,28 @@ CORPUS_NAMES = ("q111", "s_k", "berger", "aloff-wallach", "x6",
 def _reject_extra(params):
     if params:
         raise ParamOutOfRange(f"unknown parameters: {sorted(params)}")
+
+
+def _integer(name, value):
+    """value as an int, from an int or a string of one (a float such as 2.5
+    is refused, not truncated); ParamOutOfRange naming name otherwise."""
+    if type(value) in (int, str) and str(value).removeprefix("-").isdecimal():
+        return int(value)
+    raise ParamOutOfRange(f"{name} must be an integer, not {value!r}")
+
+
+def _rational(name, value):
+    """Fraction(value); ParamOutOfRange naming name if value is no rational."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ParamOutOfRange(
+            f"{name} must be a rational, not {value!r}") from None
+
+
+def _rationals(name, values, count):
+    """The Fractions of values, a tuple or list of count rationals, as a
+    tuple; ParamOutOfRange naming name otherwise."""
+    if not isinstance(values, (tuple, list)) or len(values) != count:
+        raise ParamOutOfRange(f"{name} must have {count} components")
+    return tuple(_rational(name, x) for x in values)

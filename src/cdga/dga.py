@@ -1,8 +1,11 @@
-"""Differentials on free CDGAs, and finite tabular DGAs.
+"""Free CDGAs, and finite tabular DGAs.
 
-A Differential is given on generators and extended by the graded Leibniz
-rule d(a*b) = (da)*b + (-1)^{|a|} a*(db).  Validation checks d о d = 0 on
-generators, which suffices by Leibniz.  A TabularDGA holds an integral
+A free DGA is its algebra and the images of its generators under d,
+DGA(algebra, {generator name: Element}); d extends them by the graded
+Leibniz rule d(a*b) = (da)*b + (-1)^{|a|} a*(db).  DGA.validate checks
+d^2 = 0 on generators, which suffices by Leibniz, and lists the
+generators where it fails with their witnesses d(d(g)), as
+TabularDGA.validate lists its problems.  A TabularDGA holds an integral
 table or differential coefficient as an int and any other as a Fraction;
 its elements' coefficients are Fractions all the same, since mul_terms
 scales the entries by them.  TabularDGA.validate reads its table in one
@@ -25,7 +28,6 @@ basis index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (InhomogeneousDifferential, MixedAlgebra, WrongDegree)
@@ -66,8 +68,8 @@ def _sum_pairs(d_pairs, den, terms):
     return out if den == 1 else {t: Fraction(v, den) for t, v in out.items()}
 
 
-class Differential:
-    """Degree +1 derivation, defined by its generator images."""
+class DGA:
+    """A free CDGA: an algebra and the images of its generators under d."""
 
     def __init__(self, algebra: Algebra, images):
         """images maps generator names to Elements (missing names mean zero)."""
@@ -90,33 +92,10 @@ class Differential:
         unknown = set(images) - {g.name for g in algebra.generators}
         if unknown:
             raise KeyError(f"images for unknown generators: {sorted(unknown)}")
-        self.images = imgs
+        self.images = imgs      # generator ordinal -> d(generator)
         # the images once more, as {monomial: int} maps over one denominator
-        rows, self.den = int_rows([e.terms for e in imgs.values()])
+        rows, self.d_den = int_rows([e.terms for e in imgs.values()])
         self.int_images = dict(zip(imgs, rows))
-
-    def of_generator(self, index):
-        return self.images[index]
-
-
-@dataclass
-class ValidationReport:
-    d2_failures: list = field(default_factory=list)  # (name, witness Element)
-
-    @property
-    def ok(self):
-        return not self.d2_failures
-
-
-class DGA:
-    """A free CDGA together with a differential."""
-
-    def __init__(self, algebra: Algebra, differential: Differential):
-        if differential.algebra is not algebra:
-            raise MixedAlgebra("differential defined on another algebra")
-        self.algebra = algebra
-        self.differential = differential
-        self.d_den = differential.den
 
     def d(self, e: Element) -> Element:
         """Leibniz extension of the generator images."""
@@ -139,7 +118,7 @@ class DGA:
         """
         alg = self.algebra
         gens = alg.generators
-        images = self.differential.int_images
+        images = self.int_images
         mul = alg.mul_monomials
         out = []
         prefix_deg = 0
@@ -166,22 +145,18 @@ class DGA:
             prefix_deg += gens[gi].degree * exp
         return out
 
-    def validate(self) -> ValidationReport:
-        """Check d о d = 0 on every generator.
+    def validate(self):
+        """The (name, d(d(name))) pairs of the generators where d^2 is
+        nonzero, in generator order: empty when d^2 = 0.
 
-        Homogeneity needs no check here: Differential rejects mixed images.
+        Homogeneity needs no check here: __init__ rejects mixed images.
         """
-        report = ValidationReport()
-        for g in self.algebra.generators:
-            dd = self.d(self.differential.of_generator(g.ordinal))
-            if not dd.is_zero():
-                report.d2_failures.append((g.name, dd))
-        return report
+        return [(g.name, dd) for g in self.algebra.generators
+                if not (dd := self.d(self.images[g.ordinal])).is_zero()]
 
     def is_minimal(self):
         """No linear part in any d(generator); degree-1 generators closed."""
-        for g in self.algebra.generators:
-            img = self.differential.of_generator(g.ordinal)
+        for g, img in zip(self.algebra.generators, self.images.values()):
             if g.degree == 1 and not img.is_zero():
                 return False
             for mono in img.terms:

@@ -114,9 +114,9 @@ class Matrix:
         rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
                 for row in data]
         if rows:
-            cols = len(rows[0])
+            cols = len(rows[0]) if cols is None else cols
             if any(len(r) != cols for r in rows):
-                raise DimensionMismatch("ragged rows")
+                raise DimensionMismatch(f"every row must have {cols} entries")
         elif cols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
         self._set(cols, [{j: x for j, x in enumerate(r) if x} for r in rows])
@@ -250,7 +250,7 @@ class Subspace:
         return tuple(Fraction(v[p]) for p in self.pivots)
 
     def contains(self, other):
-        if other.pivots and other.ambient_dim != self.ambient_dim:
+        if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("vector length != ambient dimension")
         echelon = dict(zip(self.pivots, self._rows))
         return not any(_residual(r, echelon) for r in other._rows)

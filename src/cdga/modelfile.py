@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .dga import DGA, Differential, TabularDGA
+from .dga import DGA, TabularDGA
 from .errors import (D2NonZero, InhomogeneousDifferential, ModelSyntaxError,
                      WrongDegree)
 from .expr import parse_expression
@@ -157,10 +157,10 @@ def _parse_free(doc):
             raise WrongDegree(
                 f"d({name}) has degree {deg}, expected {expected} ({field})")
         images[name] = e
-    dga = DGA(alg, Differential(alg, images))
-    report = dga.validate()
-    if report.d2_failures:
-        name, witness = report.d2_failures[0]
+    dga = DGA(alg, images)
+    failures = dga.validate()
+    if failures:
+        name, witness = failures[0]
         raise D2NonZero(f"d(d({name})) = {witness}")
     return dga, dict(_object(doc.get("metadata"), "metadata"))
 
@@ -214,9 +214,9 @@ def render_model(obj, metadata=None):
             "generators": [{"name": g.name, "degree": g.degree}
                            for g in obj.algebra.generators],
             "differential": {
-                g.name: str(obj.differential.of_generator(g.ordinal))
-                for g in obj.algebra.generators
-                if not obj.differential.of_generator(g.ordinal).is_zero()},
+                g.name: str(e) for g, e in zip(obj.algebra.generators,
+                                               obj.images.values())
+                if not e.is_zero()},
         }
     elif isinstance(obj, TabularDGA):
         labels = obj.labels

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import exactla
 from .cohomology import ChainComplex, CohomologySummary, compute
-from .dga import DGA, Differential
+from .dga import DGA
 from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
                      NotSimplyConnected)
 from .exactla import Matrix
@@ -208,7 +208,7 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         # generator lists are append-only, so monomial indices stay valid
         imgs = {name: Element(alg, dict(e.terms))
                 for name, e in d_images.items()}
-        return DGA(alg, Differential(alg, imgs))
+        return DGA(alg, imgs)
 
     model = build()
     for k in range(2, max_degree + 1):
@@ -333,7 +333,7 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
                 images[name] = part
     palg = Algebra(pseudo)
     # an algebra morphism only: its memoised monomial images are the products
-    products = DgaMorphism(DGA(palg, Differential(palg, {})), dga, images)
+    products = DgaMorphism(DGA(palg, {}), dga, images)
 
     def exponents(mono):
         out = [0] * len(pseudo)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from cdga.dga import DGA, Differential, TabularDGA
+from cdga.dga import DGA, TabularDGA
 from cdga.gca import Algebra, Element
 
 
@@ -19,7 +19,7 @@ settings.register_profile("ci", max_examples=500, deadline=None)
 @pytest.fixture
 def cp2():
     alg = Algebra([("a", 2), ("x", 5)])
-    return DGA(alg, Differential(alg, {"x": alg.gen("a") ** 3}))
+    return DGA(alg, {"x": alg.gen("a") ** 3})
 
 
 @pytest.fixture
@@ -146,7 +146,7 @@ def naive_d(dga, e):
     for mono, coeff in e.terms.items():
         prefix_deg = 0
         for pos, (gi, exp) in enumerate(mono):
-            dg = dga.differential.of_generator(gi)
+            dg = dga.images[gi]
             if not dg.is_zero():
                 prefix = Element(alg, {mono[:pos]: Fraction(1)})
                 rest_mono = ((gi, exp - 1),) if exp > 1 else ()
@@ -176,7 +176,7 @@ def recomputing_minimal_model(target, max_degree):
         alg = Algebra(gens)
         imgs = {name: Element(alg, dict(e.terms))
                 for name, e in d_images.items()}
-        return DGA(alg, Differential(alg, imgs))
+        return DGA(alg, imgs)
 
     model = build()
     for k in range(2, max_degree + 1):

@@ -110,7 +110,7 @@ def test_criterion_6_s1s2_bundles():
     bad = []
     for e, f, h in itertools.product(range(-2, 3), repeat=3):
         dga, ledger = s1s2_bundle_cp2_model(e, f, h)
-        if ledger["g"] != 0 or not dga.validate().ok:
+        if ledger["g"] != 0 or dga.validate():
             bad.append(((e, f, h), "validate"))
             continue
         betti = compute(dga, 7, with_cup=False).betti_vector()

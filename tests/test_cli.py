@@ -264,6 +264,14 @@ BAD_AUTOMORPHISMS = {
         "kind": "full", "matrices": {"2": [["1", "0"]]}}),
     "misshapen_partial_matrix": json.dumps({
         "kind": "partial", "top_degree": 7, "matrices": {"2": [["1", "0"]]}}),
+    # three entries per row for b_2 = 2: the matrix, not the check of its
+    # shape against b_2, refuses it
+    "wide_full_matrix": json.dumps({
+        "kind": "full",
+        "matrices": {"2": [["1", "0", "0"], ["0", "1", "0"]]}}),
+    "wide_partial_matrix": json.dumps({
+        "kind": "partial", "top_degree": 7,
+        "matrices": {"2": [["1", "0", "0"], ["0", "1", "0"]]}}),
     "ragged_partial_matrix": json.dumps({
         "kind": "partial", "top_degree": 7,
         "matrices": {"2": [["1", "0"], ["1"]]}}),
@@ -279,6 +287,8 @@ AUTOMORPHISM_FIELDS = {"top_degree_out_of_range": "top_degree",
                        "singular_partial_matrix": "matrices",
                        "misshapen_full_matrix": "matrices",
                        "misshapen_partial_matrix": "matrices",
+                       "wide_full_matrix": "matrices",
+                       "wide_partial_matrix": "matrices",
                        "ragged_partial_matrix": "matrices",
                        "full_not_cup_compatible": "matrices"}
 

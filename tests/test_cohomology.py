@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdga.cohomology import ChainComplex, compute, is_exact
 from cdga.constructions import CORPUS_NAMES, corpus, s_k_model, x6_model
-from cdga.dga import DGA, Differential, TabularDGA
+from cdga.dga import DGA, TabularDGA
 from cdga.errors import BoundTooLow, NotACocycle
 from cdga.exactla import Matrix
 from cdga.gca import Algebra, linear_combination
@@ -26,7 +26,7 @@ class TestExamples:
 
     def test_seven_sphere_betti(self):
         alg = Algebra([("u", 7)])
-        s = compute(DGA(alg, Differential(alg, {})), 7, with_cup=False)
+        s = compute(DGA(alg, {}), 7, with_cup=False)
         assert s.betti_vector() == (1, 0, 0, 0, 0, 0, 0, 1)
 
     def test_exactness_with_primitive(self, cp2):
@@ -279,9 +279,9 @@ def fractional_models():
     coefficients of different denominators in different degrees."""
     alg = Algebra([("a", 2), ("b", 2), ("x", 3), ("y", 5)])
     a, b = alg.gen("a"), alg.gen("b")
-    free = DGA(alg, Differential(alg, {
+    free = DGA(alg, {
         "x": a * b * Fraction(1, 2),
-        "y": a ** 3 * Fraction(2, 3) - b ** 3 * Fraction(4, 9)}))
+        "y": a ** 3 * Fraction(2, 3) - b ** 3 * Fraction(4, 9)})
     tab = TabularDGA([("1", 0), ("e", 1), ("f", 2), ("g", 3), ("h", 4)],
                      {}, {"e": {"f": "1/2"}, "g": {"h": "2/3"}})
     return [("fractional free", free), ("fractional tabular", tab)]
@@ -291,11 +291,11 @@ def permuted_q_model():
     """The Q(1,1,1) generators listed in a different order."""
     alg = Algebra([("x3", 3), ("a2", 2), ("y", 1), ("x1", 3),
                    ("a1", 2), ("a3", 2), ("x2", 3)])
-    return DGA(alg, Differential(alg, {
+    return DGA(alg, {
         "y": alg.gen("a1") + alg.gen("a2") + alg.gen("a3"),
         "x1": alg.gen("a1") ** 2,
         "x2": alg.gen("a2") ** 2,
-        "x3": alg.gen("a3") ** 2}))
+        "x3": alg.gen("a3") ** 2})
 
 
 class TestInvariance:

@@ -43,9 +43,9 @@ class TestCircleBundle:
 
     def test_name_collision_avoided(self):
         import cdga.gca as gca
-        from cdga.dga import DGA, Differential
+        from cdga.dga import DGA
         alg = gca.Algebra([("y", 2), ("q", 3)])
-        base = DGA(alg, Differential(alg, {"q": alg.gen("y") ** 2}))
+        base = DGA(alg, {"q": alg.gen("y") ** 2})
         total = circle_bundle_model(base, base.gen("y"))
         names = {g.name for g in total.algebra.generators}
         assert "y0" in names
@@ -397,6 +397,32 @@ class TestCorpus:
         assert s.betti_vector() == (1, 0, 1, 0, 0, 1, 0, 1)
         with pytest.raises(ParamOutOfRange):
             corpus("aloff-wallach", k=0, l=0)
+
+    @pytest.mark.parametrize("name, params, field", [
+        ("s_k", {"k": 3.5}, "k"),
+        ("s_k", {"k": "x"}, "k"),
+        ("s_k", {"k": 3, "N": 6.5}, "N"),
+        ("s_k", {"k": 3, "epsilon": 5}, "epsilon"),
+        ("s_k", {"k": 3, "epsilon": ["x"] * 3}, "epsilon"),
+        ("aloff-wallach", {"k": 1.5, "l": 1}, "k"),
+        ("aloff-wallach", {"k": 1, "l": "x"}, "l"),
+        ("q111", {"e": 5}, "e"),
+        ("q111", {"e": ("x", 1, 1)}, "e"),
+        ("x6", {"f": "x"}, "f")], ids=[
+            "s_k-k=3.5", "s_k-k=x", "s_k-N=6.5", "s_k-epsilon=5",
+            "s_k-epsilon=x", "aloff-wallach-k=1.5", "aloff-wallach-l=x",
+            "q111-e=5", "q111-e=x", "x6-f=x"])
+    def test_bad_parameter_is_refused_by_name(self, name, params, field):
+        # no truncation (k = 3.5 built s_3) and no bare TypeError/ValueError
+        with pytest.raises(ParamOutOfRange, match=f"^{field} must"):
+            corpus(name, **params)
+
+    def test_integer_parameters_from_strings(self):
+        assert corpus("s_k", k="3", N="6").name == "s_3"
+        with pytest.raises(ParamOutOfRange, match="^k must"):
+            s_k_model(3.5)
+        with pytest.raises(ParamOutOfRange, match="^N must"):
+            s_k_model(3, big_n=6.5)
 
     def test_q111_entry_parameters(self):
         entry = corpus("q111", e=(2, 1, 1))

@@ -96,6 +96,19 @@ class TestExamples:
             Matrix([])
         assert kernel(Matrix([], cols=3)).dim == 3
 
+    def test_explicit_cols_must_match_the_rows(self):
+        with pytest.raises(DimensionMismatch):
+            Matrix([[1, 2]], cols=3)
+        assert Matrix([[1, 2]], cols=2).cols == 2
+
+    def test_contains_checks_the_ambient_of_a_zero_subspace(self):
+        line = Subspace(3, [[1, 0, 0]])
+        with pytest.raises(DimensionMismatch):
+            line.contains(Subspace(2))
+        with pytest.raises(DimensionMismatch):
+            quotient_basis(line, Subspace(2))
+        assert line.contains(Subspace(3))
+
 
 def frac(num, den):
     return Fraction(num, den)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdga.cohomology import compute
 from cdga.constructions import circle_bundle_model, q_model
-from cdga.dga import DGA, Differential
+from cdga.dga import DGA
 from cdga.gca import Algebra
 from cdga.sullivan import formality
 
@@ -32,9 +32,9 @@ def free_sphere_product(degrees):
         if n % 2 == 0:
             gens.append((f"x{i}", 2 * n - 1))
     alg = Algebra(gens)
-    return DGA(alg, Differential(alg, {
+    return DGA(alg, {
         f"x{i}": alg.gen(f"a{i}") ** 2
-        for i, n in enumerate(degrees) if n % 2 == 0}))
+        for i, n in enumerate(degrees) if n % 2 == 0})
 
 
 def tabular_twin(degrees, e):
