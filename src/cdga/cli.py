@@ -85,9 +85,8 @@ def _envelope(query, input_text, result, witnesses=None, provenance=None):
     }
 
 
-def _emit(doc, stream=None):
-    (stream or sys.stdout).write(json.dumps(doc, indent=2, sort_keys=True)
-                                 + "\n")
+def _emit(doc):
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # -- commands --------------------------------------------------------------

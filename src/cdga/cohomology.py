@@ -15,7 +15,9 @@ returns, each over its pivot entry; named classes of interest are recovered
 through membership tests, not representative equality.
 class_coords hands a LinearSolver the integer columns [representative
 rows | coboundary rows] as they are; they span the cocycles, so its solve
-fails exactly when the element is not closed.
+fails exactly when the element is not closed.  A caller handed a summary
+checks it with require, the one cover check: a summary of another object,
+or one that stops below the degree needed, raises BoundTooLow.
 """
 
 from __future__ import annotations
@@ -176,6 +178,12 @@ class CohomologySummary:
                         self.cup[(p, i, q, j)] = vec
 
     # -- queries -----------------------------------------------------------
+
+    def require(self, obj, degree):
+        """BoundTooLow unless this is a summary of obj through degree."""
+        if self.source is not obj or self.max_degree < degree:
+            raise BoundTooLow(
+                "summary does not cover the requested degree cap")
 
     def betti_vector(self):
         return tuple(self.betti)

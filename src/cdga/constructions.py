@@ -31,7 +31,7 @@ def circle_bundle_model(base, e):
     """
     if not base.d(e).is_zero():
         raise NotACocycle("Euler class is not closed")
-    if not e.is_zero() and e.degree() != 2:
+    if not e.is_homogeneous() or e.degree() not in (None, 2):
         raise WrongDegree("circle-bundle Euler class must have degree 2")
     if isinstance(base, DGA):
         names = {g.name for g in base.algebra.generators}
@@ -466,9 +466,9 @@ def _circle_times_s2_like_model():
     return DGA(alg, {"x": alg.gen("b") ** 2})
 
 
-def _q111_torus_entry(max_degree=7):
+def _q111_torus_entry():
     dga = q_model((1, 1, 1))
-    h = compute(dga, max_degree, with_cup=False)
+    h = compute(dga, 7, with_cup=False)
     rho = CohomologyAutomorphism.from_dga_automorphism(h, {
         "a1": dga.gen("a2"), "a2": dga.gen("a1"), "a3": dga.gen("a3"),
         "x1": dga.gen("x2"), "x2": dga.gen("x1"), "x3": dga.gen("x3"),
@@ -486,9 +486,9 @@ def _q111_torus_entry(max_degree=7):
                   "formality_model": _circle_times_s2_like_model()})
 
 
-def _berger_torus_entry(max_degree=7):
+def _berger_torus_entry():
     dga = s3_bundle_model(s4_model(), -10)
-    h = compute(dga, max_degree, with_cup=False)
+    h = compute(dga, 7, with_cup=False)
     rho = CohomologyAutomorphism.identity(h)
     torus = mapping_torus_cohomology(h, rho)
     return CorpusEntry(
@@ -499,9 +499,9 @@ def _berger_torus_entry(max_degree=7):
                   "formality_model": _free_line_model()})
 
 
-def _w_torus_entry(rho_kind="id", max_degree=7):
+def _w_torus_entry(rho_kind="id"):
     dga = lens_bundle_cp2_model(1)
-    h = compute(dga, max_degree, with_cup=False)
+    h = compute(dga, 7, with_cup=False)
     if rho_kind == "id":
         rho = CohomologyAutomorphism.identity(h)
         model = _circle_times_s2_like_model()

@@ -315,11 +315,17 @@ class Element:
         return NotImplemented
 
     def __pow__(self, n):
+        """self^n by repeated squaring, which associativity makes the
+        n-fold product; it stops once the power is zero."""
         if n < 0:
             raise ValueError("negative power")
-        acc = self.algebra.one()
-        for _ in range(n):
-            acc = acc * self
+        acc, square = self.algebra.one(), self
+        while n and not acc.is_zero():
+            if n & 1:
+                acc = acc * square
+            n >>= 1
+            if n:
+                square = square * square
         return acc
 
     def __eq__(self, other):

@@ -9,16 +9,18 @@ living in degree p1+p2+p3-1.  The verdict compares the representative's
 class against the indeterminacy subspace [a1]*H^{p2+p3-1} + [a3]*H^{p1+p2-1},
 so it does not depend on the primitive choices.
 
-The representative formula and the indeterminacy basis each live in one
-private helper here, used by triple() and by sullivan.massey_search.  The
-search solves the primitive of each representative pair once per call,
-builds the indeterminacy only for a triple whose class is nonzero, and
-returns the first non-vanishing triple as the MasseyResult triple() would
-build from the same parts.
+triple() and massey_search share two private helpers: one forms the
+representative, the other builds a defined triple's MasseyResult with its
+indeterminacy.  The search solves the primitive of each representative
+pair once per call, builds the indeterminacy only for a triple whose class
+is nonzero, and returns the first non-vanishing triple with the result
+triple() builds from the same parts.  sullivan.formality calls the search,
+and sullivan re-exports it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,17 +85,7 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
 
     rep = _representative(a1, a3, a12, a23, p1)
     _, rep_class = summary.class_coords(rep, degree=n)
-    indet = _indeterminacy(summary, (p1, p2, p3), a1, a3)
-
-    return MasseyResult(
-        defined=True,
-        degree=n,
-        representative=rep,
-        primitives=(a12, a23),
-        indeterminacy=indet,
-        vanishes=indet.member(rep_class),
-        representative_class=rep_class,
-    )
+    return _defined(summary, degrees, a1, a3, (a12, a23), rep, rep_class)
 
 
 def _representative(a1, a3, a12, a23, p1):
@@ -102,12 +94,11 @@ def _representative(a1, a3, a12, a23, p1):
     return a1 * a23 + (a12 * a3) * sign
 
 
-def _indeterminacy(summary, degrees, a1, a3):
-    """[a1]*H^{p2+p3-1} + [a3]*H^{p1+p2-1} inside H^{p1+p2+p3-1}.
-
-    Spanned by the classes of a1*h over the degree-(p2+p3-1) representatives
-    h, then of a3*h over the degree-(p1+p2-1) ones, in rep coordinates.
-    """
+def _defined(summary, degrees, a1, a3, primitives, rep, rep_class):
+    """The MasseyResult of a defined triple whose representative rep has
+    class rep_class.  The indeterminacy is spanned by the classes of a1*h
+    over the degree-(p2+p3-1) representatives h, then of a3*h over the
+    degree-(p1+p2-1) ones, in rep coordinates."""
     p1, p2, p3 = degrees
     n = p1 + p2 + p3 - 1
     vecs = []
@@ -116,7 +107,62 @@ def _indeterminacy(summary, degrees, a1, a3):
             v = summary.class_coords(a * h, degree=n)[1]
             if any(v):
                 vecs.append(v)
-    return Subspace(summary.betti[n], vecs)
+    indet = Subspace(summary.betti[n], vecs)
+    return MasseyResult(
+        defined=True, degree=n, representative=rep, primitives=primitives,
+        indeterminacy=indet, vanishes=indet.member(rep_class),
+        representative_class=rep_class)
+
+
+def massey_search(obj, summary, cap):
+    """First defined, non-vanishing triple Massey product over the chosen
+    representatives, or None.
+
+    Triples are visited in a fixed order.  The primitive of each
+    representative product r*r' (None when it is a nonzero class) is solved
+    once per call and unordered pair: r'*r = (-1)^{pq} r*r', and the solve
+    is linear, so the primitive of r'*r is (-1)^{pq} times that of r*r'.
+    A defined triple costs its representative and one class solve; only a
+    nonzero class goes on to the indeterminacy of its outer pair (r1, r3),
+    whose result is built as triple() builds it.
+    """
+    summary.require(obj, cap)
+    reps = summary.representatives
+    primitives = {}
+
+    def primitive(p, i, q, j):
+        key = (p, i, q, j)
+        if key not in primitives:
+            if (q, j) < (p, i):
+                a = primitive(q, j, p, i)
+                primitives[key] = -a if a is not None and p * q % 2 else a
+            else:
+                primitives[key] = summary.is_exact(reps[p][i] * reps[q][j])
+        return primitives[key]
+
+    degs = [k for k in range(1, cap + 1) if summary.betti[k] > 0]
+    for p1, p2, p3 in itertools.product(degs, repeat=3):
+        n = p1 + p2 + p3 - 1
+        if n > cap or summary.betti[n] == 0:
+            continue
+        for i1, r1 in enumerate(reps[p1]):
+            for i2, r2 in enumerate(reps[p2]):
+                a12 = primitive(p1, i1, p2, i2)
+                if a12 is None:
+                    continue
+                for i3, r3 in enumerate(reps[p3]):
+                    a23 = primitive(p2, i2, p3, i3)
+                    if a23 is None:
+                        continue
+                    rep = _representative(r1, r3, a12, a23, p1)
+                    _, rep_class = summary.class_coords(rep, degree=n)
+                    if not any(rep_class):
+                        continue    # a zero class lies in any indeterminacy
+                    res = _defined(summary, (p1, p2, p3), r1, r3, (a12, a23),
+                                   rep, rep_class)
+                    if not res.vanishes:
+                        return (r1, r2, r3), res
+    return None
 
 
 def try_triple(obj, a1, a2, a3, **kw):

@@ -13,26 +13,27 @@ changes, so an image computed at one stage holds at every later one.
 
 The s-formality check uses the canonical splitting C^i = ker(d|V^i) with
 the echelon complement as N^i.  Its ideal elements are the images of
-monomials in a free algebra on the C and N basis vectors.  The definition
-quantifies existentially over splittings, so a failed check is reported
-Inconclusive, never NonFormal; NonFormal verdicts come from non-vanishing
-Massey products.
+monomials in a free algebra on the C and N basis vectors.  The check
+reports that fact as Inconclusive either way: the definition quantifies
+existentially over splittings, so a failed check is never NonFormal.
+formality() alone turns facts into verdicts: it applies both manifold
+theorems, the dimension-7 b2 shortcut and "s-formal implies formal", and
+takes NonFormal from massey.massey_search, which this module re-exports.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactla
 from .cohomology import ChainComplex, CohomologySummary, compute
 from .dga import DGA
-from .errors import (BoundTooLow, ModelTooLarge, NotAChainMap, NotMinimal,
-                     NotSimplyConnected)
+from .errors import (BoundTooLow, MixedAlgebra, ModelTooLarge, NotAChainMap,
+                     NotMinimal, NotSimplyConnected, WrongDegree)
 from .exactla import Matrix
 from .gca import Algebra, Element, linear_combination
-from .massey import MasseyResult, _indeterminacy, _representative
+from .massey import massey_search
 
 DEFAULT_DIM_BUDGET = 6000
 DEFAULT_GEN_BUDGET = 300
@@ -42,7 +43,8 @@ class DgaMorphism:
     """A degree-0 algebra morphism DGA -> DGA/TabularDGA on generators."""
 
     def __init__(self, domain: DGA, codomain, images):
-        """images maps generator names of the domain to codomain elements."""
+        """images maps generator names of the domain to codomain elements,
+        each of its generator's degree or zero."""
         self.domain = domain
         self.codomain = codomain
         self.images = {}
@@ -50,8 +52,12 @@ class DgaMorphism:
             img = images.get(g.name)
             if img is None:
                 raise KeyError(f"no image for generator {g.name}")
-            if not img.is_zero() and img.degree() != g.degree:
-                raise ValueError(f"image of {g.name} has the wrong degree")
+            if img.algebra is not codomain.algebra:
+                raise MixedAlgebra(
+                    f"image of {g.name} lives in another algebra")
+            if {img.algebra.key_degree(m) for m in img.terms} - {g.degree}:
+                raise WrongDegree(f"image of {g.name} is not of degree "
+                                  f"{g.degree}: {img}")
             self.images[g.ordinal] = img
         unknown = set(images) - {g.name for g in domain.algebra.generators}
         if unknown:
@@ -112,7 +118,7 @@ def is_quasi_iso(f: DgaMorphism, max_degree, codomain_summary=None):
     if cs is None:
         cs = compute(f.codomain, max_degree, with_cup=False)
     else:
-        _require_cover(cs, f.codomain, max_degree)
+        cs.require(f.codomain, max_degree)
     report = []
     ok = True
     for k in range(max_degree + 1):
@@ -184,8 +190,8 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         raise BoundTooLow("max_degree must be >= 2")
     if summary is None:
         summary = compute(target, max_degree + 1, with_cup=False)
-    elif summary.source is not target or summary.max_degree < max_degree + 1:
-        raise BoundTooLow("summary does not cover degree max_degree + 1")
+    else:
+        summary.require(target, max_degree + 1)
     target_summary = summary
     if target_summary.betti[0] != 1:
         raise NotSimplyConnected("target is not connected (H^0 != Q)")
@@ -269,21 +275,10 @@ def required_s(dimension):
     return (dimension + 1) // 2 - 1
 
 
-def formality_shortcut(b1, b2, dim):
-    """Formal verdict for 7-manifolds with b1 = 0 and b2 <= 1; else None."""
-    if dim != 7:
-        raise ValueError("the shortcut applies to dimension 7 only")
-    if b1 == 0 and b2 <= 1:
-        return FormalityVerdict(
-            status="Formal", formal_dimension=7,
-            witness={"kind": "b2_shortcut", "b1": b1, "b2": b2},
-            notes=["7-manifolds with b1=0 and b2<=1 are 3-formal, so formal"])
-    return None
-
-
-def s_formality_check(model, s, degree_cap, formal_dimension=None,
+def s_formality_check(model, s, degree_cap,
                       max_dim=DEFAULT_DIM_BUDGET) -> FormalityVerdict:
-    """s-formality of a minimal model via the canonical C/N splitting.
+    """s-formality of a minimal model via the canonical C/N splitting: an
+    Inconclusive verdict with s_formal, the splitting and a witness.
 
     `model` is a SullivanModel or a minimal DGA.  Exactness of closed ideal
     elements is certified inside the model when it stands alone, or through
@@ -370,86 +365,16 @@ def s_formality_check(model, s, degree_cap, formal_dimension=None,
             if exact_in.is_exact(image) is None:
                 return FormalityVerdict(
                     status="Inconclusive", s=s, degree_cap=degree_cap,
-                    formal_dimension=formal_dimension, s_formal=False,
-                    splitting=splitting,
+                    s_formal=False, splitting=splitting,
                     witness={"kind": "non_exact_ideal_element",
                              "degree": m_deg, "element": str(z)},
                     notes=["canonical splitting fails; another splitting "
                            "could still certify formality"])
 
-    verdict = FormalityVerdict(
-        status="Inconclusive", s=s, degree_cap=degree_cap,
-        formal_dimension=formal_dimension, s_formal=True, splitting=splitting,
+    return FormalityVerdict(
+        status="Inconclusive", s=s, degree_cap=degree_cap, s_formal=True,
+        splitting=splitting,
         witness={"kind": "splitting", "splitting": splitting})
-    if formal_dimension is not None and s >= required_s(formal_dimension):
-        verdict.status = "Formal"
-        verdict.notes.append(
-            f"{s}-formal and s >= {required_s(formal_dimension)} for a "
-            f"declared formal dimension {formal_dimension} "
-            "(manifoldness is trusted, not verified)")
-    else:
-        verdict.notes.append(f"{s}-formal, but no usable formal dimension")
-    return verdict
-
-
-def massey_search(obj, summary, cap):
-    """First defined, non-vanishing triple Massey product over the chosen
-    representatives, or None.
-
-    Triples are visited in a fixed order.  The primitive of each
-    representative product r*r' (None when it is a nonzero class) is solved
-    once per call and unordered pair: r'*r = (-1)^{pq} r*r', and the solve
-    is linear, so the primitive of r'*r is (-1)^{pq} times that of r*r'.
-    A defined triple costs its representative and one class
-    solve; a nonzero class is then tested against the indeterminacy of its
-    outer pair (r1, r3).  The witness is the MasseyResult massey.triple
-    would build from the same primitives, representative, class and
-    indeterminacy.
-    """
-    _require_cover(summary, obj, cap)
-    reps = summary.representatives
-    primitives = {}
-
-    def primitive(p, i, q, j):
-        key = (p, i, q, j)
-        if key not in primitives:
-            if (q, j) < (p, i):
-                a = primitive(q, j, p, i)
-                primitives[key] = -a if a is not None and p * q % 2 else a
-            else:
-                primitives[key] = summary.is_exact(reps[p][i] * reps[q][j])
-        return primitives[key]
-
-    degs = [k for k in range(1, cap + 1) if summary.betti[k] > 0]
-    for p1, p2, p3 in itertools.product(degs, repeat=3):
-        n = p1 + p2 + p3 - 1
-        if n > cap or summary.betti[n] == 0:
-            continue
-        for i1, r1 in enumerate(reps[p1]):
-            for i2, r2 in enumerate(reps[p2]):
-                a12 = primitive(p1, i1, p2, i2)
-                if a12 is None:
-                    continue
-                for i3, r3 in enumerate(reps[p3]):
-                    a23 = primitive(p2, i2, p3, i3)
-                    if a23 is None:
-                        continue
-                    rep = _representative(r1, r3, a12, a23, p1)
-                    _, rep_class = summary.class_coords(rep, degree=n)
-                    if not any(rep_class):
-                        continue    # a zero class lies in any indeterminacy
-                    indet = _indeterminacy(summary, (p1, p2, p3), r1, r3)
-                    if not indet.member(rep_class):
-                        return (r1, r2, r3), MasseyResult(
-                            defined=True, degree=n, representative=rep,
-                            primitives=(a12, a23), indeterminacy=indet,
-                            vanishes=False, representative_class=rep_class)
-    return None
-
-
-def _require_cover(summary, obj, cap):
-    if summary.source is not obj or summary.max_degree < cap:
-        raise BoundTooLow("summary does not cover the requested degree cap")
 
 
 def formality(obj, dimension, s=None, cap=None,
@@ -458,10 +383,11 @@ def formality(obj, dimension, s=None, cap=None,
 
     Tries, in order: the dimension-7 b2 shortcut, a Massey-product
     obstruction search (NonFormal), and the s-formality check on a minimal
-    model (Formal).  Anything else is Inconclusive.  A precomputed cohomology
-    summary of obj covering the degree cap may be passed in.  A cap below 2
-    raises BoundTooLow; so does a cap below s + 1 when no Massey product
-    answers and the s-formality check would run, before any model is built.
+    model (Formal when s >= required_s(dimension)).  Anything else is
+    Inconclusive.  A precomputed cohomology summary of obj covering the
+    degree cap may be passed in.  A cap below 2 raises BoundTooLow; so
+    does a cap below s + 1 when no Massey product answers and the
+    s-formality check would run, before any model is built.
     """
     cap = cap if cap is not None else dimension + 1
     s = s if s is not None else required_s(dimension)
@@ -472,13 +398,14 @@ def formality(obj, dimension, s=None, cap=None,
     if summary is None:
         summary = compute(obj, cap, with_cup=False)
     else:
-        _require_cover(summary, obj, cap)
+        summary.require(obj, cap)
     b1, b2 = summary.betti[1], summary.betti[2]
 
-    if dimension == 7 and b1 == 0:
-        hit = formality_shortcut(b1, b2, 7)
-        if hit is not None:
-            return hit
+    if dimension == 7 and b1 == 0 and b2 <= 1:
+        return FormalityVerdict(
+            status="Formal", formal_dimension=7,
+            witness={"kind": "b2_shortcut", "b1": b1, "b2": b2},
+            notes=["7-manifolds with b1=0 and b2<=1 are 3-formal, so formal"])
 
     found = massey_search(obj, summary, cap)
     if found is not None:
@@ -493,20 +420,27 @@ def formality(obj, dimension, s=None, cap=None,
             notes=["non-vanishing triple Massey product obstructs formality"])
 
     minimal = isinstance(obj, DGA) and obj.is_minimal()
-    if (minimal or b1 == 0) and cap < s + 1:
+    if not minimal and b1 != 0:
+        return FormalityVerdict(
+            status="Inconclusive", s=s, degree_cap=cap,
+            formal_dimension=dimension,
+            notes=["H^1 != 0 and the model is not minimal; no construction "
+                   "available in this regime"])
+    if cap < s + 1:
         # the s-formality check needs the cap; refuse before building a model
         raise BoundTooLow(f"cap {cap} must be >= s + 1 = {s + 1}")
-    if minimal:
-        return s_formality_check(obj, s, cap, formal_dimension=dimension,
-                                 max_dim=max_dim)
-    if b1 == 0:
-        bound = max(2, s)
-        model = minimal_model(
-            obj, bound, max_dim=max_dim,
-            summary=summary if summary.max_degree >= bound + 1 else None)
-        return s_formality_check(model, s, cap, formal_dimension=dimension,
-                                 max_dim=max_dim)
-    return FormalityVerdict(
-        status="Inconclusive", s=s, degree_cap=cap, formal_dimension=dimension,
-        notes=["H^1 != 0 and the model is not minimal; no construction "
-               "available in this regime"])
+    bound = max(2, s)
+    model = obj if minimal else minimal_model(
+        obj, bound, max_dim=max_dim,
+        summary=summary if summary.max_degree >= bound + 1 else None)
+    verdict = s_formality_check(model, s, cap, max_dim=max_dim)
+    verdict.formal_dimension = dimension
+    if verdict.s_formal and s >= required_s(dimension):
+        verdict.status = "Formal"
+        verdict.notes.append(
+            f"{s}-formal and s >= {required_s(dimension)} for a declared "
+            f"formal dimension {dimension} "
+            "(manifoldness is trusted, not verified)")
+    elif verdict.s_formal:
+        verdict.notes.append(f"{s}-formal, but no usable formal dimension")
+    return verdict

@@ -441,6 +441,25 @@ class TestBadInput:
                                    "--max-degree", "2"], stdin_text=s3_text))
         assert error["kind"] == "BoundTooLow"
 
+    @pytest.mark.parametrize("base, kind", [
+        ("a1^20000000", "BoundTooLow"),   # degree 40000000 > max degree 8
+        ("x1^20000000", "NotACocycle"),   # x1 is odd, so the power is zero
+    ])
+    def test_massey_class_with_a_huge_exponent(self, base, kind):
+        _, q_text = run_cli(["corpus", "q111"])
+        error = error_of(*run_cli(["massey", "-", "--classes",
+                                   f"{base},a2,a3", "--max-degree", "8"],
+                                  stdin_text=q_text))
+        assert error["kind"] == kind
+
+    def test_circle_bundle_euler_class_of_mixed_degree(self):
+        # a + c*a is closed in x6
+        _, x6_text = run_cli(["corpus", "x6"])
+        error = error_of(*run_cli(["circle-bundle", "-", "--euler",
+                                   "a + c*a"], stdin_text=x6_text))
+        assert error == {"kind": "WrongDegree", "detail": "circle-bundle "
+                         "Euler class must have degree 2"}
+
     @pytest.mark.parametrize("cap", ["0", "1"])
     def test_formality_cap_below_two(self, cap):
         _, q_text = run_cli(["corpus", "q111"])

@@ -86,6 +86,15 @@ class TestExamples:
         with pytest.raises(BoundTooLow):
             compute(cp2, -1)
 
+    def test_require_checks_object_and_bound(self, q111, cp2):
+        s = compute(q111, 5, with_cup=False)
+        s.require(q111, 5)
+        s.require(q111, 0)
+        for obj, degree in ((q111, 6), (cp2, 5)):
+            with pytest.raises(BoundTooLow, match="^summary does not cover "
+                                                  "the requested degree cap$"):
+                s.require(obj, degree)
+
     def test_zero_class_needs_degree(self, cp2):
         s = compute(cp2, 2, with_cup=False)
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cdga.cohomology import compute
 from cdga.constructions import (CohomologyAutomorphism, circle_bundle_model,
-                                corpus, del_pezzo_s2_tabular,
+                                corpus, cp2_model, del_pezzo_s2_tabular,
                                 lens_bundle_cp2_model,
                                 mapping_torus_cohomology, q_model,
                                 s1s2_bundle_cp2_model, s2_cubed_model,
@@ -40,6 +40,19 @@ class TestCircleBundle:
             circle_bundle_model(base, base.gen("x1"))
         with pytest.raises(WrongDegree):
             circle_bundle_model(base, base.gen("a1") ** 2)
+
+    @pytest.mark.parametrize("kind", ["free", "tabular"])
+    def test_closed_euler_class_of_mixed_degree_is_refused(self, kind):
+        if kind == "free":
+            base = corpus("x6").obj
+            e = base.gen("a") + base.gen("c") * base.gen("a")
+        else:
+            base = sphere_product_tabular([2, 2], 4)
+            e = base.gen("s0") + base.gen("s0") * base.gen("s1")
+        assert base.d(e).is_zero()
+        with pytest.raises(WrongDegree, match="^circle-bundle Euler class "
+                                              "must have degree 2$"):
+            circle_bundle_model(base, e)
 
     def test_name_collision_avoided(self):
         import cdga.gca as gca
@@ -203,6 +216,15 @@ class TestAutomorphisms:
             top_sign=int(chain.matrix(7).data[0][0]))
         for r in range(8):
             assert completed.matrix(r) == chain.matrix(r), r
+
+    @pytest.mark.parametrize("image", ["x", "a + x"])
+    def test_bad_generator_image_is_a_package_error(self, image):
+        # images of a of degree 5 and of degrees 2 and 5 together
+        h = compute(cp2_model(), 5, with_cup=False)
+        a, x = h.source.gen("a"), h.source.gen("x")
+        with pytest.raises(WrongDegree, match="^image of a "):
+            CohomologyAutomorphism.from_dga_automorphism(
+                h, {"a": x if image == "x" else a + x, "x": x})
 
     def test_singular_matrix_rejected(self, q_summary):
         with pytest.raises(ValueError):

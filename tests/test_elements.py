@@ -7,7 +7,9 @@ form is pinned here for both kinds.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cdga.constructions import s_k_model
 from cdga.dga import TabularDGA
 from cdga.errors import MixedAlgebra
 from cdga.gca import Algebra
@@ -93,6 +95,50 @@ class TestArithmetic:
     def test_negative_power_raises(self, kind):
         with pytest.raises(ValueError, match="negative power"):
             kind().gen("a") ** -1
+
+
+@st.composite
+def elements(draw, alg, max_degree=6):
+    """Up to three terms of degrees up to max_degree, mixed degrees too."""
+    degrees = [k for k in range(max_degree + 1) if alg.degree_basis(k)]
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        basis = alg.degree_basis(draw(st.sampled_from(degrees)))
+        key = basis[draw(st.integers(0, len(basis) - 1))]
+        terms[key] = Fraction(draw(st.integers(-6, 6).filter(bool)),
+                              draw(st.integers(1, 4)))
+    return alg.from_terms(terms)
+
+
+# a free algebra with odd and even generators, and two tabular corpus models
+POWER_ALGEBRAS = {
+    "free": Algebra([("a", 1), ("b", 2), ("c", 3), ("e", 2), ("f", 5)]),
+    "s_3": s_k_model(3)[0],
+    "s_4": s_k_model(4)[0],
+}
+
+
+class TestPower:
+    @pytest.mark.parametrize("name", sorted(POWER_ALGEBRAS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6))
+    def test_power_is_the_left_to_right_product(self, name, data, n):
+        alg = POWER_ALGEBRAS[name]
+        e = data.draw(elements(alg))
+        product = alg.one()
+        for _ in range(n):
+            product = product * e
+        assert e ** n == product
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_huge_power_stops_at_zero(self, kind):
+        # a^2 is zero in the table; x is odd, so x^2 = 0 in the free algebra
+        base = kind().gen("a" if kind is table else "x")
+        assert (base ** 10 ** 18).is_zero()
+
+    def test_huge_power_of_an_even_generator(self):
+        a = free().gen("a")
+        assert str(a ** 2 ** 40) == f"a^{2 ** 40}"
 
 
 class TestEqualityAndHash:

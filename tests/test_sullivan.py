@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from cdga import exactla, sullivan
+from cdga import exactla, massey, sullivan
 from cdga.cohomology import ChainComplex, compute
 from cdga.constructions import (corpus, cp2_model, lens_bundle_cp2_model,
                                 q_model, s4_model, s_k_model, x6_model)
 from cdga.dga import DGA, TabularDGA
-from cdga.errors import (BoundTooLow, ModelTooLarge, NotAChainMap,
-                         NotMinimal, NotSimplyConnected)
+from cdga.errors import (BoundTooLow, MixedAlgebra, ModelTooLarge,
+                         NotAChainMap, NotMinimal, NotSimplyConnected,
+                         WrongDegree)
 from cdga.exactla import Subspace
 from cdga.gca import Algebra, Element
 from cdga.massey import triple
 from cdga.modelfile import render_model
-from cdga.sullivan import (DgaMorphism, formality, formality_shortcut,
+from cdga.sullivan import (DgaMorphism, FormalityVerdict, formality,
                            induced, is_quasi_iso, minimal_model, required_s,
                            massey_search, s_formality_check)
 from conftest import (naive_massey_search, naive_morphism_image,
@@ -101,6 +102,24 @@ class TestMorphism:
         for summary in (short, other):
             with pytest.raises(BoundTooLow):
                 is_quasi_iso(f, 6, codomain_summary=summary)
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("wrong_degree", WrongDegree, "^image of a is not of degree 2: x$"),
+        ("mixed_degree", WrongDegree,
+         "^image of a is not of degree 2: a \\+ x$"),
+        ("other_algebra", MixedAlgebra,
+         "^image of a lives in another algebra$"),
+        ("missing", KeyError, "no image for generator x"),
+    ])
+    def test_bad_images_rejected_like_dga(self, case, error, message, cp2,
+                                          q111):
+        a, x = cp2.gen("a"), cp2.gen("x")
+        images = {"wrong_degree": {"a": x, "x": x},
+                  "mixed_degree": {"a": a + x, "x": x},
+                  "other_algebra": {"a": q111.gen("a1"), "x": x},
+                  "missing": {"a": a}}[case]
+        with pytest.raises(error, match=message):
+            DgaMorphism(cp2, cp2, images)
 
     def test_unknown_generator_images_rejected(self, cp2):
         with pytest.raises(KeyError, match="unknown generators"):
@@ -285,14 +304,6 @@ class TestSFormality:
         assert required_s(7) == 3
         assert required_s(8) == 3
 
-    def test_shortcut_dimension_seven(self):
-        assert formality_shortcut(0, 0, 7).status == "Formal"
-        assert formality_shortcut(0, 1, 7).status == "Formal"
-        assert formality_shortcut(0, 2, 7) is None
-        assert formality_shortcut(1, 0, 7) is None
-        with pytest.raises(ValueError):
-            formality_shortcut(0, 1, 6)
-
     def test_x6_is_two_formal_hence_formal(self):
         verdict = formality(x6_model(), 6)
         assert verdict.status == "Formal"
@@ -312,25 +323,41 @@ class TestSFormality:
     def test_standalone_minimal_circle_times_s2(self):
         from cdga.constructions import _circle_times_s2_like_model
         dga = _circle_times_s2_like_model()
-        verdict = s_formality_check(dga, 3, 8, formal_dimension=8)
-        assert verdict.status == "Formal"
+        verdict = s_formality_check(dga, 3, 8)
+        # the check reports s-formality; only formality() concludes
+        assert verdict.status == "Inconclusive"
+        assert verdict.s_formal is True
+        assert verdict.formal_dimension is None
+        assert verdict.notes == []
+        assert formality(dga, 8).status == "Formal"
         assert verdict.splitting[1] == {"C": 1, "N": 0}
         assert verdict.splitting[2] == {"C": 1, "N": 0}
         assert verdict.splitting[3] == {"C": 0, "N": 1}
+
+    @pytest.mark.parametrize("name", ["circle-times-s2", "cp2", "x6",
+                                      "q100"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_check_never_concludes(self, name, s, cp2):
+        from cdga.constructions import _circle_times_s2_like_model
+        model = {"circle-times-s2": _circle_times_s2_like_model,
+                 "cp2": lambda: cp2,
+                 "x6": lambda: minimal_model(x6_model(), 3),
+                 "q100": lambda: minimal_model(q_model((1, 0, 0)), 3)}[name]()
+        verdict = s_formality_check(model, s, 7)
+        assert verdict.status == "Inconclusive"
+        assert verdict.formal_dimension is None
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_bare_dga_and_its_model_agree(self, s):
         # exactness is decided in x6 itself, or in x6 as the model's target
         dga = x6_model()
-        bare = s_formality_check(dga, s, 7, formal_dimension=6)
-        via = s_formality_check(minimal_model(dga, s), s, 7,
-                                formal_dimension=6)
+        bare = s_formality_check(dga, s, 7)
+        via = s_formality_check(minimal_model(dga, s), s, 7)
         assert (bare.status, bare.s_formal, bare.splitting) == \
             (via.status, via.s_formal, via.splitting)
 
     def test_witness_of_q111(self, q111):
-        verdict = s_formality_check(minimal_model(q111, 3), 3, 7,
-                                    formal_dimension=7)
+        verdict = s_formality_check(minimal_model(q111, 3), 3, 7)
         assert verdict.status == "Inconclusive"
         assert verdict.witness == {"kind": "non_exact_ideal_element",
                                    "degree": 5,
@@ -362,10 +389,42 @@ class TestSFormality:
         m1 = DGA(a1, {"x": a1.gen("b") ** 2})
         a2 = Algebra([("x", 3), ("b", 2), ("a", 1)])
         m2 = DGA(a2, {"x": a2.gen("b") ** 2})
-        v1 = s_formality_check(m1, 3, 8, formal_dimension=8)
-        v2 = s_formality_check(m2, 3, 8, formal_dimension=8)
-        assert v1.status == v2.status == "Formal"
+        v1 = s_formality_check(m1, 3, 8)
+        v2 = s_formality_check(m2, 3, 8)
+        assert v1.s_formal is v2.s_formal is True
         assert v1.splitting == v2.splitting
+
+
+class TestCoverCheck:
+    # every caller handed a summary checks it with CohomologySummary.require
+    CALLERS = {
+        "massey_search": lambda obj, summary: massey_search(obj, summary, 6),
+        "formality": lambda obj, summary: formality(obj, 8, cap=6,
+                                                    summary=summary),
+        "is_quasi_iso": lambda obj, summary: is_quasi_iso(
+            DgaMorphism(obj, obj, {"a": obj.gen("a"), "x": obj.gen("x")}),
+            6, codomain_summary=summary),
+        "minimal_model": lambda obj, summary: minimal_model(
+            obj, 5, summary=summary),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize("summary_of", ["too_short", "another_object"])
+    def test_refused_through_every_caller(self, caller, summary_of, cp2,
+                                          q111):
+        summary = (compute(cp2, 5, with_cup=False) if summary_of == "too_short"
+                   else compute(q111, 8, with_cup=False))
+        with pytest.raises(BoundTooLow, match="^summary does not cover the "
+                                              "requested degree cap$"):
+            self.CALLERS[caller](cp2, summary)
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_covering_summary_is_accepted(self, caller, cp2):
+        self.CALLERS[caller](cp2, compute(cp2, 6, with_cup=False))
+
+
+X6_SPLIT = {1: {"C": 0, "N": 0}, 2: {"C": 2, "N": 0}}
+Q100_SPLIT = {**X6_SPLIT, 3: {"C": 1, "N": 2}}
 
 
 class TestFormalityDriver:
@@ -385,6 +444,68 @@ class TestFormalityDriver:
         verdict = formality(s3_bundle_model(s4_model(), -10), 7)
         assert verdict.status == "Formal"
         assert verdict.witness["kind"] == "b2_shortcut"
+
+    @pytest.mark.parametrize("name, dimension, kind", [
+        ("berger", 7, "b2_shortcut"),         # b1 = 0, b2 = 0
+        ("aloff-wallach", 7, "b2_shortcut"),  # b1 = 0, b2 = 1
+        ("q100", 7, "splitting"),             # b2 = 2
+        ("circle-times-s2", 7, "splitting"),  # b1 = 1
+        ("berger", 8, "splitting"),           # not a 7-manifold
+    ])
+    def test_b2_shortcut_needs_its_hypotheses(self, name, dimension, kind):
+        from cdga.constructions import _circle_times_s2_like_model
+        obj = {"berger": lambda: corpus("berger").obj,
+               "aloff-wallach": lambda: corpus("aloff-wallach").obj,
+               "q100": lambda: q_model((1, 0, 0)),
+               "circle-times-s2": _circle_times_s2_like_model}[name]()
+        verdict = formality(obj, dimension)
+        assert verdict.status == "Formal"
+        assert verdict.witness["kind"] == kind
+
+    @pytest.mark.parametrize("name, dimension, s, want", [
+        ("berger", 7, None, FormalityVerdict(
+            status="Formal", formal_dimension=7,
+            witness={"kind": "b2_shortcut", "b1": 0, "b2": 0},
+            notes=["7-manifolds with b1=0 and b2<=1 are 3-formal, so "
+                   "formal"])),
+        ("x6", 6, None, FormalityVerdict(
+            status="Formal", s=2, degree_cap=7, formal_dimension=6,
+            s_formal=True, splitting=X6_SPLIT,
+            witness={"kind": "splitting", "splitting": X6_SPLIT},
+            notes=["2-formal and s >= 2 for a declared formal dimension 6 "
+                   "(manifoldness is trusted, not verified)"])),
+        ("q100", 7, None, FormalityVerdict(
+            status="Formal", s=3, degree_cap=8, formal_dimension=7,
+            s_formal=True, splitting=Q100_SPLIT,
+            witness={"kind": "splitting", "splitting": Q100_SPLIT},
+            notes=["3-formal and s >= 3 for a declared formal dimension 7 "
+                   "(manifoldness is trusted, not verified)"])),
+        ("q100", 7, 2, FormalityVerdict(
+            status="Inconclusive", s=2, degree_cap=8, formal_dimension=7,
+            s_formal=True, splitting=X6_SPLIT,
+            witness={"kind": "splitting", "splitting": X6_SPLIT},
+            notes=["2-formal, but no usable formal dimension"])),
+    ])
+    def test_verdict_field_by_field(self, name, dimension, s, want):
+        obj = {"berger": lambda: corpus("berger").obj, "x6": x6_model,
+               "q100": lambda: q_model((1, 0, 0))}[name]()
+        assert formality(obj, dimension, s=s) == want
+
+    @pytest.mark.parametrize("given_model", [False, True])
+    def test_failed_splitting_field_by_field(self, given_model, q111,
+                                            monkeypatch):
+        # Q(1,1,1) has a Massey product; without the search, the canonical
+        # splitting of its minimal model fails
+        monkeypatch.setattr(sullivan, "massey_search", lambda *a: None)
+        obj = minimal_model(q111, 3).dga if given_model else q111
+        split = {**X6_SPLIT, 3: {"C": 0, "N": 3}}
+        assert formality(obj, 7, cap=7) == FormalityVerdict(
+            status="Inconclusive", s=3, degree_cap=7, formal_dimension=7,
+            s_formal=False, splitting=split,
+            witness={"kind": "non_exact_ideal_element", "degree": 5,
+                     "element": "-w2_0*v3_0 + w2_1*v3_1"},
+            notes=["canonical splitting fails; another splitting could "
+                   "still certify formality"])
 
     @pytest.mark.parametrize("cap", [-1, 0, 1])
     def test_cap_below_two_is_refused(self, q111, cap):
@@ -439,9 +560,12 @@ class TestFormalityDriver:
     def test_summary_hand_off_keeps_the_verdict(self, obj, dimension):
         s = required_s(dimension)
         handed = formality(obj, dimension, cap=7)
-        fresh = s_formality_check(minimal_model(obj, s), s, 7,
-                                  formal_dimension=dimension)
-        assert handed == fresh
+        fresh = s_formality_check(minimal_model(obj, s), s, 7)
+        assert handed.status == "Formal"
+        assert (handed.s, handed.degree_cap, handed.s_formal,
+                handed.splitting, handed.witness) == \
+            (fresh.s, fresh.degree_cap, fresh.s_formal, fresh.splitting,
+             fresh.witness)
 
     def test_formality_computes_its_model_cohomology_once(self,
                                                           monkeypatch):
@@ -501,6 +625,10 @@ def _search_models():
 
 
 class TestMasseySearch:
+    def test_one_search_beside_triple(self):
+        assert massey.massey_search is sullivan.massey_search
+        assert massey_search.__module__ == "cdga.massey"
+
     def test_agrees_with_one_try_triple_per_triple(self):
         hits = 0
         for name, obj in _search_models():
@@ -528,7 +656,7 @@ class TestMasseySearch:
         # r1*r2 and r2*r1 differ by (-1)^{p1 p2}, so a primitive of one is
         # not one of the other; every representative the search forms must
         # use d(a12) = r1*r2 and d(a23) = r2*r3 for one middle class r2
-        representative = sullivan._representative
+        representative = massey._representative
         checked = []
         for name, obj in _search_models():
             summary = compute(obj, 7, with_cup=False)
@@ -546,7 +674,7 @@ class TestMasseySearch:
                     for r2 in middle))
                 return representative(r1, r3, a12, a23, p1)
 
-            monkeypatch.setattr(sullivan, "_representative", checking)
+            monkeypatch.setattr(massey, "_representative", checking)
             massey_search(obj, summary, 7)
         assert len(checked) > 100 and any(checked)
 
