@@ -5,9 +5,10 @@ pieces with a cached differential matrix per degree; both kinds offer the
 same algebra interface, so it never branches on the kind.  It answers every
 exactness question: it solves d(w) = z on the degree k-1 matrix, built when
 first needed, so the answer does not depend on any summary's degree bound.
-A d-matrix is written from the DGA's integer d_pairs: those of basis
-element j go straight into column j of {col: int} rows over d_den.
-ChainComplex.columns writes other term maps as sparse matrix columns.
+A d-matrix is exactla's matrix form, a list of {row: int} columns: column
+j sums the DGA's integer d_pairs of basis element j, over d_den, and is
+handed to kernel, image and LinearSolver as it is.  ChainComplex.columns
+writes other term maps as integer columns through int_rows.
 A CohomologySummary adds cocycles, coboundaries, class representatives and
 cups up to a bound.  Class representatives are the echelon coset
 representatives: the cocycles' sparse RREF rows whose indices quotient_basis
@@ -27,7 +28,7 @@ from fractions import Fraction
 from . import exactla
 from .dga import DGA, TabularDGA
 from .errors import BoundTooLow, MixedAlgebra, NotACocycle
-from .exactla import Matrix, Subspace
+from .exactla import Subspace, int_rows
 from .gca import Element
 
 
@@ -46,7 +47,7 @@ class ChainComplex:
                 f"expected DGA or TabularDGA, got {type(obj).__name__}")
         self.dga = obj
         self.algebra = obj.algebra
-        self._d_matrix = {}      # k -> Matrix (degree k -> k+1)
+        self._d_matrix = {}      # k -> columns of d (degree k -> k+1)
         self._exact_solver = {}  # k -> LinearSolver on the degree k-1 d-matrix
 
     def basis(self, k):
@@ -80,32 +81,32 @@ class ChainComplex:
         return isinstance(e, Element) and e.algebra is self.algebra
 
     def columns(self, k, term_maps):
-        """The matrix over the degree-k basis whose column j is the
-        {basis key: coefficient} map term_maps[j] of a degree-k element."""
+        """Integer columns over the degree-k basis, column j a multiple of
+        the {basis key: coefficient} map term_maps[j] of a degree-k element
+        (one common scale for all)."""
         idx = self.algebra.degree_index(k)
-        return Matrix._of_columns(
-            [{idx[t]: c for t, c in terms.items()} for terms in term_maps],
-            len(idx))
+        return int_rows([{idx[t]: c for t, c in terms.items()}
+                         for terms in term_maps])[0]
 
     def d_matrix(self, k):
-        """Matrix of d from the degree-k piece to the degree-(k+1) piece."""
-        m = self._d_matrix.get(k)
-        if m is None:
+        """d from the degree-k piece to the degree-(k+1) piece: one {row:
+        int} column per degree-k basis element, over dga.d_den."""
+        cols = self._d_matrix.get(k)
+        if cols is None:
             idx = self.algebra.degree_index(k + 1)
-            rows = [{} for _ in range(len(idx))]
             d_pairs = self.dga.d_pairs
-            basis = self.basis(k)
-            for j, b in enumerate(basis):
+            cols = self._d_matrix[k] = []
+            for b in self.basis(k):
+                col = {}
                 for t, c in d_pairs(b):
-                    row = rows[idx[t]]
-                    v = row.get(j, 0) + c
+                    i = idx[t]
+                    v = col.get(i, 0) + c
                     if v:
-                        row[j] = v
+                        col[i] = v
                     else:
-                        del row[j]
-            m = self._d_matrix[k] = Matrix._of_int(rows, len(basis),
-                                                   self.dga.d_den)
-        return m
+                        del col[i]
+                cols.append(col)
+        return cols
 
     def is_exact(self, z):
         """A primitive w with d(w) = z, or None.  z must be a cocycle."""
@@ -114,9 +115,8 @@ class ChainComplex:
         k = z.degree()
         solver = self._exact_solver.get(k)
         if solver is None:
-            m = self.d_matrix(k - 1)
             solver = self._exact_solver[k] = exactla.LinearSolver(
-                m._columns(), m.rows, m._den)
+                self.d_matrix(k - 1), self.dim(k), self.dga.d_den)
         # a solution w shows z = d(w) is closed; only a failed solve needs
         # the closedness check
         try:
@@ -155,11 +155,11 @@ class CohomologySummary:
         return self.ctx.d_matrix(k)
 
     def _compute_degree(self, k):
-        z = exactla.kernel(self.d_matrix(k))
+        z = exactla.kernel(self.d_matrix(k), self.ctx.dim(k + 1))
         if k == 0:
             b = Subspace(self.ctx.dim(0))
         else:
-            b = exactla.image(self.d_matrix(k - 1))
+            b = exactla.image(self.d_matrix(k - 1), self.ctx.dim(k))
         self.cocycles[k] = z
         self.coboundaries[k] = b
         self._rep_rows[k] = rep_rows = [(z._rows[i], z._rows[i][z.pivots[i]])

@@ -4,7 +4,9 @@ Fibration models are built as extensions of a base model by new generators
 whose differentials hit the Euler class.  Mapping-torus cohomology is
 assembled degreewise from an automorphism of the fibre cohomology:
 H^r(torus) = ker(rho* - id on H^r) + nu ^ coker(rho* - id on H^{r-1}),
-with nu the distinguished degree-1 class.
+with nu the distinguished degree-1 class.  An automorphism holds each
+degree as the Fraction rows a caller gives; the kernel, image and solver
+of exactla take the integer columns of rho* - id and of the pairing.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from fractions import Fraction
 from . import exactla
 from .cohomology import CohomologySummary, compute
 from .dga import DGA, TabularDGA
-from .errors import (DegreeGap, NotACocycle, ParamOutOfRange,
-                     UnknownCorpusEntry, WrongDegree)
-from .exactla import Matrix
+from .errors import (DegreeGap, DimensionMismatch, NotACocycle,
+                     NotInvertible, ParamOutOfRange, UnknownCorpusEntry,
+                     WrongDegree)
 from .gca import Algebra, Element, linear_combination
 from .sullivan import DgaMorphism, _row_elements, induced
 
@@ -163,8 +165,10 @@ class CohomologyAutomorphism:
     """An algebra automorphism of H^*, one invertible matrix per degree.
 
     Matrices act on the representative basis of the given summary: column i
-    of the degree-r matrix is rho(x_i) for representative x_i.  Missing
-    degrees can be completed through the top-degree cup pairing.
+    of the degree-r matrix is rho(x_i) for representative x_i.  Each is held
+    as a tuple of Fraction rows, the form a caller or a JSON document gives
+    and matrix(r) returns.  Missing degrees can be completed through the
+    top-degree cup pairing.
     """
 
     def __init__(self, summary: CohomologySummary, matrices, provenance=()):
@@ -173,18 +177,22 @@ class CohomologyAutomorphism:
         self.provenance = list(provenance)
         for r, m in matrices.items():
             _check_degree(summary, r)
-            m = m if isinstance(m, Matrix) else Matrix(m, cols=summary.betti[r])
-            if m.rows != summary.betti[r] or m.cols != summary.betti[r]:
-                raise exactla.DimensionMismatch(
-                    f"degree-{r} matrix does not match b_{r} = {summary.betti[r]}")
-            if summary.betti[r] and not m.is_invertible():
-                raise ValueError(f"degree-{r} matrix is singular")
-            self.matrices[r] = m
+            b = summary.betti[r]
+            rows = tuple(tuple(map(Fraction, row)) for row in m)
+            if any(len(row) != b for row in rows):
+                raise DimensionMismatch(f"every row must have {b} entries")
+            if len(rows) != b:
+                raise DimensionMismatch(
+                    f"degree-{r} matrix does not match b_{r} = {b}")
+            if exactla.Subspace(b, rows).dim != b:
+                raise NotInvertible(f"degree-{r} matrix is singular")
+            self.matrices[r] = rows
 
     @classmethod
     def identity(cls, summary):
-        return cls(summary, {r: Matrix.identity(summary.betti[r])
-                             for r in range(summary.max_degree + 1)},
+        return cls(summary, {r: [[Fraction(i == j) for j in range(b)]
+                                 for i in range(b)]
+                             for r, b in enumerate(summary.betti)},
                    provenance=["identity on every degree"])
 
     @classmethod
@@ -193,8 +201,11 @@ class CohomologyAutomorphism:
         dga = summary.source
         phi = DgaMorphism(dga, dga, gen_images)
         phi.check_chain_map()
-        mats = {r: induced(phi, summary, summary, r)
-                for r in range(summary.max_degree + 1)}
+        mats = {}
+        for r, b in enumerate(summary.betti):
+            cols, den = induced(phi, summary, summary, r)
+            mats[r] = [[Fraction(col.get(i, 0), den) for col in cols]
+                       for i in range(b)]
         return cls(summary, mats,
                    provenance=["induced by an algebra automorphism that "
                                "commutes with the differential"])
@@ -207,16 +218,17 @@ class CohomologyAutomorphism:
         each known degree r with unknown complement n-r, <rho x, rho y> =
         top_sign * <x, y> gives A M_{n-r} = top_sign * P, with A[i][j] =
         <rho x_i, y_j> and P[i][j] = <x_i, y_j>: one solve per column of
-        M_{n-r} on A, which is invertible or raises DegreeGap.  Degrees with
-        b_r = 0 need no data.
+        M_{n-r} on A, which is invertible or raises DegreeGap, as does an
+        H^top that is not one-dimensional.  Degrees with b_r = 0 need no
+        data.
         """
         n = top_degree
         _check_degree(summary, n)
         if summary.betti[n] != 1:
-            raise ValueError("duality completion needs one-dimensional H^top")
+            raise DegreeGap("duality completion needs one-dimensional H^top")
         zero = {r: [] for r, b in enumerate(summary.betti) if not b}
-        rho = cls(summary, {**zero, n: [[top_sign]], 0: Matrix.identity(1),
-                            **partial}, provenance=[
+        rho = cls(summary, {**zero, n: [[top_sign]], 0: [[1]], **partial},
+                  provenance=[
             f"orientation action on H^{n} fixed to {top_sign:+d}"])
         mats = rho.matrices
 
@@ -228,16 +240,19 @@ class CohomologyAutomorphism:
             if not 0 <= cr <= summary.max_degree or cr in mats:
                 continue
             ys = summary.representatives[cr]
-            a = Matrix([[pair(rx, y) for y in ys]
-                        for rx in rho._images(r)], cols=len(ys))
+            images = rho._images(r)
+            # column j of A: <rho x_i, y_j> over i
+            cols, den = exactla.int_rows([{i: p for i, rx in enumerate(images)
+                                           if (p := pair(rx, y))} for y in ys])
             # one elimination both solves and shows A invertible
-            solver = exactla.LinearSolver(a._columns(), a.rows, a._den)
+            solver = exactla.LinearSolver(cols, len(images), den)
             if not solver.rows == solver.cols == solver.rank:
                 raise DegreeGap(f"cannot complete degree {cr} by duality")
-            mats[cr] = Matrix.from_columns(
-                [solver.solve([top_sign * pair(x, y)
-                               for x in summary.representatives[r]])
-                 for y in ys], len(ys))
+            # column j of M_{n-r} solves A x = top_sign * P e_j
+            mats[cr] = tuple(zip(*(
+                solver.solve([top_sign * pair(x, y)
+                              for x in summary.representatives[r]])
+                for y in ys)))
             rho.provenance.append(f"degree-{cr} action derived from the "
                                   f"degree-{r} action through the cup pairing")
         missing = [r for r in range(summary.max_degree + 1) if r not in mats]
@@ -249,10 +264,10 @@ class CohomologyAutomorphism:
         """rho(x_i) of each degree-r representative x_i: column i of M_r."""
         m, reps = self.matrices[r], self.summary.representatives[r]
         return [self.summary.ctx.algebra.from_terms(linear_combination(
-            (Fraction(x, m._den), reps[a].terms)
-            for a, x in sorted(col.items()))) for col in m._columns()]
+            (row[i], rep.terms) for row, rep in zip(m, reps) if row[i]))
+            for i in range(len(m))]
 
-    def matrix(self, r) -> Matrix:
+    def matrix(self, r):
         if r not in self.matrices:
             raise DegreeGap(f"automorphism not defined in degree {r}")
         return self.matrices[r]
@@ -269,7 +284,9 @@ class CohomologyAutomorphism:
                 for i, ri in enumerate(s.representatives[p]):
                     for j, rj in enumerate(s.representatives[q]):
                         _, prod = s.class_coords(ri * rj, degree=p + q)
-                        lhs = self.matrices[p + q].apply(prod)
+                        lhs = tuple(sum((x * y for x, y in zip(row, prod)),
+                                        Fraction(0))
+                                    for row in self.matrices[p + q])
                         _, rhs = s.class_coords(images[p][i] * images[q][j],
                                                 degree=p + q)
                         if lhs != rhs:
@@ -292,14 +309,15 @@ def mapping_torus_cohomology(h: CohomologySummary, rho: CohomologyAutomorphism,
     kers, kelems, cokers, ims, solvers = {}, {}, {}, {}, {}
     for r in range(n + 1):
         m = rho.matrix(r)
-        # rho* - id over m's denominator: the diagonal loses den
-        a = Matrix._of_int(
-            [{j: x for j, x in {**row, i: row.get(i, 0) - m._den}.items() if x}
-             for i, row in enumerate(m._int)], m.cols, m._den)
-        kers[r] = exactla.kernel(a)
+        b = len(m)
+        # the integer columns of rho* - id
+        a, _ = exactla.int_rows([{i: x for i, row in enumerate(m)
+                                  if (x := row[j] - (i == j))}
+                                 for j in range(b)])
+        kers[r] = exactla.kernel(a, b)
         kelems[r] = list(_row_elements(h.ctx.algebra, kers[r],
                                        h.representatives[r]))
-        ims[r] = exactla.image(a)
+        ims[r] = exactla.image(a, b)
         cokers[r] = exactla.complement(ims[r])
 
     def klab(r, i):

@@ -14,7 +14,8 @@ class DimensionMismatch(CdgaError):
 
 
 class NoSolution(CdgaError):
-    """A linear system has no solution."""
+    """A linear system has no solution, or a supplied solution does not
+    solve it."""
 
 
 class BoundTooLow(CdgaError):
@@ -51,6 +52,10 @@ class NotMinimal(CdgaError):
 
 class NotAChainMap(CdgaError):
     """A morphism fails to commute with the differentials."""
+
+
+class NotInvertible(CdgaError):
+    """A matrix that must be invertible is singular."""
 
 
 class DegreeGap(CdgaError):

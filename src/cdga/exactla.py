@@ -1,26 +1,27 @@
 """Exact linear algebra over Q: rank, kernel, image, linear systems, quotients.
 
-Inside this module a vector is a sparse integer row, a {col: int} map of
-its nonzero entries, the form the fraction-free kernel in cdga._core works
-on.  A Matrix holds one exact form, built once: its rows as {col: int} maps
-over one common denominator.  Any common denominator serves, since
-rref_int's rows are primitive whatever the scale of its input and Matrix
-equality compares data.  kernel, image and rank read those rows; image
-reads them as columns, which is why the scale is one for the whole matrix
-and not one per row.  Fractions become integers in one place: int_rows
-scales {key: Fraction or int} maps over the lcm of their denominators,
-for a Matrix, a dense vector (once, through _to_int_row or as a solve's
-right-hand side) and dga's generator images.  Rows are eliminated with
-_core.rref_int, which returns ([], []) when no row is nonzero.  A
-subspace is its primitive RREF rows and their pivot columns;
-quotient_basis returns indices of such rows, and complement(sub) those of
-the unit vectors completing sub to Q^n, with no identity matrix built.
-kernel eliminates once, with pivot columns in descending order: the
-vectors it reads off m's free columns are then already the kernel's RREF
-rows (see kernel), so they are not eliminated again.  A
-Matrix has no inverse: a LinearSolver on A gives A^-1 b.  Dense Fraction
-tuples are built only where a caller reads them: Matrix.data and
-Subspace.basis (each on first read), rref_rows and LinearSolver.solve.
+A matrix is a list of sparse integer columns, each a {row: int} map of
+its nonzero entries, with its row count and, where a solve needs it, a
+common denominator of all its entries: the form in which callers write d
+of a basis element or the class coordinates of an image.  kernel, image
+and LinearSolver take (columns, nrows); image's span and the rank
+(image(...).dim or LinearSolver.rank) are scale-free, so they need no
+denominator.  Inside this module a vector is a sparse integer row, a
+{col: int} map, the form the fraction-free kernel in cdga._core works on.
+Fractions become integers in one place: int_rows scales {key: Fraction or
+int} maps over the lcm of their denominators, for a caller's columns, a
+dense vector (once, through _to_int_row or as a solve's right-hand side)
+and dga's generator images.  Rows are eliminated with _core.rref_int,
+which returns ([], []) when no row is nonzero.  A subspace is its
+primitive RREF rows and their pivot columns; quotient_basis returns
+indices of such rows, and complement(sub) those of the unit vectors
+completing sub to Q^n, with no identity matrix built.  kernel makes the
+package's only transpose, into the rows its one elimination needs, with
+pivot columns in descending order: the vectors it reads off the free
+columns are then already the kernel's RREF rows (see kernel), so they are
+not eliminated again.  There is no inverse: a LinearSolver on A gives
+A^-1 b.  Dense Fraction tuples are built only where a caller reads them:
+Subspace.basis (on first read), rref_rows and LinearSolver.solve.
 
 _residual reduces a vector against a {pivot column: row} map with _core's
 row update _clear, in ascending pivot order, so its work follows the
@@ -100,98 +101,6 @@ def rref_rows(rows, ncols):
     return [_dense(r, ncols, r[c]) for r, c in zip(reduced, pivots)], pivots
 
 
-class Matrix:
-    """An immutable rows x cols matrix of rationals.
-
-    Row r is _int[r] / _den: a {col: int} map of the nonzero entries scaled
-    by _den, a common denominator of all entries.  data, the Fraction row
-    tuples, is built on first read.
-    """
-
-    __slots__ = ("rows", "cols", "_den", "_int", "_data")
-
-    def __init__(self, data, cols=None):
-        rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
-                for row in data]
-        if rows:
-            cols = len(rows[0]) if cols is None else cols
-            if any(len(r) != cols for r in rows):
-                raise DimensionMismatch(f"every row must have {cols} entries")
-        elif cols is None:
-            raise DimensionMismatch("empty matrix needs an explicit column count")
-        self._set(cols, [{j: x for j, x in enumerate(r) if x} for r in rows])
-
-    @classmethod
-    def _of_int(cls, rows, cols, den):
-        """The matrix whose rows are the {col: int} maps `rows` over den."""
-        m = cls.__new__(cls)
-        m.rows, m.cols, m._den, m._int, m._data = len(rows), cols, den, rows, None
-        return m
-
-    def _set(self, cols, rows):
-        self.rows = len(rows)
-        self.cols = cols
-        self._int, self._den = int_rows(rows)
-        self._data = None
-
-    @property
-    def data(self):
-        """The rows as Fraction tuples."""
-        if self._data is None:
-            self._data = tuple(_dense(r, self.cols, self._den)
-                               for r in self._int)
-        return self._data
-
-    @classmethod
-    def _of_columns(cls, columns, nrows):
-        """The nrows x len(columns) matrix whose columns are the
-        {row: int or Fraction} maps `columns` of their nonzero entries."""
-        m = cls.__new__(cls)
-        m._set(nrows, columns)
-        return m.transpose()
-
-    @classmethod
-    def from_columns(cls, columns, nrows):
-        """The nrows x len(columns) matrix whose columns are `columns`."""
-        return cls._of_columns([{r: Fraction(x) for r, x in enumerate(col) if x}
-                                for col in columns], nrows)
-
-    @classmethod
-    def identity(cls, n):
-        return cls._of_int([{i: 1} for i in range(n)], n, 1)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.cols == other.cols
-                and self.data == other.data)
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-    def _columns(self):
-        """The columns as {row: int} maps over _den."""
-        cols = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self._int):
-            for j, x in row.items():
-                cols[j][r] = x
-        return cols
-
-    def transpose(self):
-        return Matrix._of_int(self._columns(), self.rows, self._den)
-
-    def apply(self, v):
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for row in self.data)
-
-    def rank(self):
-        return len(rref_int(self._int, self.cols)[1])
-
-    def is_invertible(self):
-        return self.rows == self.cols and self.rank() == self.rows
-
-
 class Subspace:
     """A subspace of Q^n, stored as primitive int RREF rows and pivots."""
 
@@ -264,23 +173,31 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space of m, as a subspace of Q^cols, from one elimination.
+def kernel(columns, nrows) -> Subspace:
+    """Null space of the nrows x len(columns) matrix whose column j is the
+    {row: int} map columns[j], as a subspace of Q^len(columns), from one
+    elimination.
 
-    m's rows are eliminated with pivot columns in descending order, so each
-    pivot row is zero at the other pivot columns and right of its pivot.
-    The vector read off a free column f, which is nonzero only at f and at
-    the pivots of the rows holding f, then has its lowest entry at f and is
+    The columns are turned into rows, the package's one transpose, and the
+    rows eliminated with pivot columns in descending order, so each pivot
+    row is zero at the other pivot columns and right of its pivot.  The
+    vector read off a free column f, which is nonzero only at f and at the
+    pivots of the rows holding f, then has its lowest entry at f and is
     zero at every other free column: made primitive, these vectors are the
     kernel's RREF rows, pivot entries positive, in ascending order of f.
     """
-    rows, pivots = rref_int(m._int, m.cols, range(m.cols - 1, -1, -1))
+    ncols = len(columns)
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    rows, pivots = rref_int(rows, ncols, range(ncols - 1, -1, -1))
     pivset = set(pivots)
     hits = {}   # column -> the (row, pivot) pairs whose row holds it
     for r, pc in zip(rows, pivots):
         for c in r:
             hits.setdefault(c, []).append((r, pc))
-    free = [fc for fc in range(m.cols) if fc not in pivset]
+    free = [fc for fc in range(ncols) if fc not in pivset]
     vectors = []
     for fc in free:
         # x_fc = den and x_pc = -den * row[fc] / row[pc] for each pivot row
@@ -289,12 +206,12 @@ def kernel(m: Matrix) -> Subspace:
         v = {pc: -r[fc] * den // r[pc] for r, pc in hit}
         v[fc] = den
         vectors.append(_primitive(v))
-    return Subspace._of_rref(m.cols, vectors, free)
+    return Subspace._of_rref(ncols, vectors, free)
 
 
-def image(m: Matrix) -> Subspace:
-    """Column space of m, as a subspace of Q^rows."""
-    return Subspace._of_rows(m.rows, m._columns())
+def image(columns, nrows) -> Subspace:
+    """Span of the {row: int} columns, as a subspace of Q^nrows."""
+    return Subspace._of_rows(nrows, columns)
 
 
 class LinearSolver:

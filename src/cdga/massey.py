@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import CohomologySummary, compute
-from .errors import BoundTooLow, NotACocycle, NotDefined
+from .errors import BoundTooLow, NoSolution, NotACocycle, NotDefined
 from .exactla import Subspace
 
 
@@ -48,7 +48,8 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
     `obj` may be any validated DGA or TabularDGA (any model works, not just a
     minimal one).  A precomputed cohomology summary covering the product
     degree may be passed in; `primitives` optionally overrides the primitive
-    choices (their correctness is checked).
+    choices (their correctness is checked: NoSolution if they do not bound
+    the products).
     """
     degrees = []
     for a in (a1, a2, a3):
@@ -74,7 +75,7 @@ def triple(obj, a1, a2, a3, summary: CohomologySummary = None,
     if primitives is not None:
         a12, a23 = primitives
         if summary.ctx.d(a12) != prod12 or summary.ctx.d(a23) != prod23:
-            raise ValueError("supplied primitives do not bound the products")
+            raise NoSolution("supplied primitives do not bound the products")
     else:
         a12 = summary.is_exact(prod12)
         if a12 is None:

@@ -10,6 +10,9 @@ H^{k+1}, its representatives and their images as they were.  One
 monomial -> image memo serves every stage's morphism to the target and
 the one returned: generators are only appended and no generator's image
 changes, so an image computed at one stage holds at every later one.
+H^k(phi) is built in one place, induced, as exactla's integer columns of
+class coordinates: (a) reads their image, (b) their kernel, and
+is_quasi_iso their rank.
 
 The s-formality check uses the canonical splitting C^i = ker(d|V^i) with
 the echelon complement as N^i.  Its ideal elements are the images of
@@ -31,7 +34,6 @@ from .cohomology import ChainComplex, CohomologySummary, compute
 from .dga import DGA
 from .errors import (BoundTooLow, MixedAlgebra, ModelTooLarge, NotAChainMap,
                      NotMinimal, NotSimplyConnected, WrongDegree)
-from .exactla import Matrix
 from .gca import Algebra, Element, linear_combination
 from .massey import massey_search
 
@@ -103,11 +105,12 @@ class DgaMorphism:
 
 
 def induced(phi, source, target, k):
-    """The matrix of H^k(phi) from source's summary to target's: column i
-    holds the class coordinates of phi(representative i)."""
-    return Matrix.from_columns(
-        [target.class_coords(phi(r), degree=k)[1]
-         for r in source.representatives[k]], target.betti[k])
+    """H^k(phi) from source's summary to target's, as int_rows (columns,
+    den) of target.betti[k] rows: column i over den holds the class
+    coordinates of phi(representative i)."""
+    return exactla.int_rows(
+        [{a: x for a, x in enumerate(target.class_coords(phi(r), degree=k)[1])
+          if x} for r in source.representatives[k]])
 
 
 def is_quasi_iso(f: DgaMorphism, max_degree, codomain_summary=None):
@@ -122,7 +125,7 @@ def is_quasi_iso(f: DgaMorphism, max_degree, codomain_summary=None):
     report = []
     ok = True
     for k in range(max_degree + 1):
-        rank = induced(f, ds, cs, k).rank()
+        rank = exactla.image(induced(f, ds, cs, k)[0], cs.betti[k]).dim
         iso = ds.betti[k] == cs.betti[k] and rank == ds.betti[k]
         report.append({"degree": k, "domain_betti": ds.betti[k],
                        "codomain_betti": cs.betti[k], "rank": rank,
@@ -224,7 +227,8 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         phi = morphism()
 
         # (a) closed generators to surject onto H^k(target)
-        img = exactla.image(induced(phi, summary, target_summary, k))
+        img = exactla.image(induced(phi, summary, target_summary, k)[0],
+                            target_summary.betti[k])
         for n, i in enumerate(exactla.complement(img)):
             name = f"w{k}_{n}"
             gens.append((name, k))
@@ -235,7 +239,8 @@ def minimal_model(target, max_degree, max_dim=DEFAULT_DIM_BUDGET,
         # (b) generators of degree k killing ker H^{k+1}(phi); (a) left
         # H^{k+1} as it was, so summary and phi still serve
         kernel_classes = exactla.kernel(
-            induced(phi, summary, target_summary, k + 1))
+            induced(phi, summary, target_summary, k + 1)[0],
+            target_summary.betti[k + 1])
         new = []
         for z in _row_elements(model.algebra, kernel_classes,
                                summary.representatives[k + 1]):
@@ -314,7 +319,7 @@ def s_formality_check(model, s, degree_cap,
             splitting[i] = {"C": 0, "N": 0}
             continue
         c_space = exactla.kernel(
-            ctx.columns(i + 1, [dga.d(g).terms for g in vi]))
+            ctx.columns(i + 1, [dga.d(g).terms for g in vi]), ctx.dim(i + 1))
         n_gens = [vi[j] for j in exactla.complement(c_space)]
         splitting[i] = {"C": c_space.dim, "N": len(n_gens)}
         # the C parts are c_space's RREF rows, the N parts generators of V^i
@@ -354,7 +359,8 @@ def s_formality_check(model, s, degree_cap,
                     f"{ctx.dim(k)} > max_dim {max_dim}", degree=k,
                     dimension=ctx.dim(k))
         closed = exactla.kernel(
-            ctx.columns(m_deg + 1, [dga.d(e).terms for e in ideal_elems]))
+            ctx.columns(m_deg + 1, [dga.d(e).terms for e in ideal_elems]),
+            ctx.dim(m_deg + 1))
         for z in _row_elements(alg, closed, ideal_elems):
             if z.is_zero():
                 continue

@@ -165,7 +165,7 @@ def recomputing_minimal_model(target, max_degree):
     stage ledger and the {generator name: image in target} map."""
     from cdga import exactla
     from cdga.cohomology import compute
-    from cdga.exactla import Matrix, Subspace
+    from cdga.exactla import Subspace, int_rows
     from cdga.gca import linear_combination
     from cdga.sullivan import DgaMorphism
 
@@ -186,7 +186,8 @@ def recomputing_minimal_model(target, max_degree):
         img = Subspace(ts.betti[k], [
             ts.class_coords(phi(r), degree=k)[1]
             for r in summary.representatives[k]])
-        full = Subspace(ts.betti[k], Matrix.identity(ts.betti[k]).data)
+        b = ts.betti[k]
+        full = Subspace(b, [[int(i == j) for j in range(b)] for i in range(b)])
         for n, i in enumerate(exactla.quotient_basis(full, img)):
             v = full.basis[i]
             name = f"w{k}_{n}"
@@ -199,11 +200,12 @@ def recomputing_minimal_model(target, max_degree):
             summary = compute(model, k + 1, with_cup=False)
             phi = DgaMorphism(model, target, phi_images)
         reps = summary.representatives[k + 1]
-        m = Matrix.from_columns(
-            [ts.class_coords(phi(r), degree=k + 1)[1] for r in reps],
-            ts.betti[k + 1])
+        cols, _ = int_rows(
+            [{i: x for i, x in enumerate(
+                ts.class_coords(phi(r), degree=k + 1)[1]) if x}
+             for r in reps])
         new = []
-        for n, vec in enumerate(exactla.kernel(m).basis):
+        for n, vec in enumerate(exactla.kernel(cols, ts.betti[k + 1]).basis):
             z = model.algebra.from_terms(linear_combination(
                 (c, r.terms) for c, r in zip(vec, reps)))
             new.append((f"v{k}_{n}", z, ts.is_exact(phi(z))))
@@ -345,30 +347,25 @@ def gysin_betti(base_summary, euler, cap):
     """Betti numbers of a circle bundle from the Gysin sequence:
     b_r = dim coker(cup e: H^{r-2} -> H^r) + dim ker(cup e: H^{r-1} -> H^{r+1}).
     """
-    from cdga import exactla
-    from cdga.exactla import Matrix
+    from cdga.exactla import image, int_rows
 
     s = base_summary
 
-    def cup_matrix(r):
-        """Matrix of cup-with-euler from H^r to H^{r+2}."""
-        if r < 0 or r > s.max_degree:
-            return Matrix([], cols=0)
-        if r + 2 > s.max_degree:
-            return Matrix([[Fraction(0)] * s.betti[r]], cols=s.betti[r]) \
-                if s.betti[r] else Matrix([], cols=0)
-        cols = [s.class_coords(rep * euler, degree=r + 2)[1]
-                for rep in s.representatives[r]]
-        return Matrix([[col[i] for col in cols]
-                       for i in range(s.betti[r + 2])], cols=s.betti[r])
+    def cup_rank(r):
+        """Rank of cup-with-euler from H^r to H^{r+2}."""
+        if r < 0 or r + 2 > s.max_degree:
+            return 0
+        cols, _ = int_rows(
+            [{i: x for i, x in enumerate(
+                s.class_coords(rep * euler, degree=r + 2)[1]) if x}
+             for rep in s.representatives[r]])
+        return image(cols, s.betti[r + 2]).dim
 
     betti = []
     for r in range(cap + 1):
-        coker = (s.betti[r] - cup_matrix(r - 2).rank()) if r <= s.max_degree \
-            else 0
+        coker = (s.betti[r] - cup_rank(r - 2)) if r <= s.max_degree else 0
         kern = 0
         if 0 <= r - 1 <= s.max_degree:
-            m = cup_matrix(r - 1)
-            kern = s.betti[r - 1] - m.rank()
+            kern = s.betti[r - 1] - cup_rank(r - 1)
         betti.append(coker + kern)
     return betti

@@ -280,6 +280,14 @@ BAD_AUTOMORPHISMS = {
     "full_not_cup_compatible": json.dumps({"kind": "full", "matrices": {
         "0": [["1"]], "1": [], "2": [["1", "0"], ["0", "1"]], "3": [],
         "4": [], "5": [["2", "0"], ["0", "1"]], "6": [], "7": [["1"]]}}),
+    # an automorphism of a closed oriented manifold fixes or flips H^top;
+    # top_sign 2 gave b_7 = b_8 = 0, and 0 a singular degree-7 matrix
+    "top_sign_two": json.dumps({
+        "kind": "partial", "top_degree": 7, "top_sign": 2,
+        "matrices": {"2": [["0", "1"], ["1", "0"]]}}),
+    "top_sign_zero": json.dumps({
+        "kind": "partial", "top_degree": 7, "top_sign": 0,
+        "matrices": {"2": [["0", "1"], ["1", "0"]]}}),
 }
 AUTOMORPHISM_FIELDS = {"top_degree_out_of_range": "top_degree",
                        "top_degree_without_a_top_class": "top_degree",
@@ -290,7 +298,9 @@ AUTOMORPHISM_FIELDS = {"top_degree_out_of_range": "top_degree",
                        "wide_full_matrix": "matrices",
                        "wide_partial_matrix": "matrices",
                        "ragged_partial_matrix": "matrices",
-                       "full_not_cup_compatible": "matrices"}
+                       "full_not_cup_compatible": "matrices",
+                       "top_sign_two": "top_sign",
+                       "top_sign_zero": "top_sign"}
 
 BAD_CORPUS_ARGS = {
     "s_k_without_k": (["corpus", "s_k"], "ParamOutOfRange", None),
@@ -392,6 +402,8 @@ class TestBadInput:
         assert "field" in error["location"]
         if case in AUTOMORPHISM_FIELDS:
             assert error["location"]["field"] == AUTOMORPHISM_FIELDS[case]
+        if case.startswith("top_sign"):
+            assert error["detail"] == "top_sign must be 1 or -1"
 
     @pytest.mark.parametrize("case", sorted(BAD_CORPUS_ARGS))
     def test_corpus_parameters(self, case):
@@ -515,8 +527,41 @@ GOLDEN_COMMANDS = {
     "corpus_w_torus_flip.json": ["corpus", "w-torus", "--rho", "flip"],
 }
 
+SWAP = [["0", "1"], ["1", "0"]]
+
+# mapping-torus runs whose model must be the one in a golden file: the
+# automorphism built from a JSON description, against the corpus entry
+# built through the library
+GOLDEN_TORI = {
+    "berger_identity": (["corpus", "berger"], {"kind": "identity"},
+                        "corpus_berger_torus.json"),
+    "q111_partial_swap": (["corpus", "q111"], {
+        "kind": "partial", "top_degree": 7, "matrices": {"2": SWAP}},
+        "corpus_q111_torus.json"),
+    "q111_full_swap": (["corpus", "q111"], {"kind": "full", "matrices": {
+        "0": [["1"]], "1": [], "2": SWAP, "3": [], "4": [],
+        "5": [["1", "0"], ["0", "-1"]], "6": [], "7": [["1"]]}},
+        "corpus_q111_torus.json"),
+    "aloff_wallach_flip": (["corpus", "aloff-wallach", "--k", "1", "--l", "0"],
+                           {"kind": "partial", "top_degree": 7,
+                            "matrices": {"2": [["-1"]]}},
+                           "corpus_w_torus_flip.json"),
+}
+
 
 class TestGoldenFiles:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TORI))
+    def test_mapping_torus_model_matches_golden(self, tmp_path, case):
+        corpus_argv, auto, fname = GOLDEN_TORI[case]
+        _, model_text = run_cli(corpus_argv)
+        auto_path = tmp_path / "auto.json"
+        auto_path.write_text(json.dumps(auto))
+        code, out = run_cli(["mapping-torus", "-", "--auto", str(auto_path),
+                             "--max-degree", "7"], stdin_text=model_text)
+        assert code == 0
+        want = json.loads((GOLDEN / fname).read_text())["result"]["model"]
+        assert json.loads(out)["result"]["model"] == want
+
     @pytest.mark.parametrize("fname", sorted(GOLDEN_COMMANDS))
     def test_output_matches_golden_and_is_stable(self, fname):
         argv = GOLDEN_COMMANDS[fname]

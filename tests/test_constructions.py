@@ -16,8 +16,9 @@ from cdga.constructions import (CohomologyAutomorphism, circle_bundle_model,
                                 s3_bundle_model, s4_model, s_k_model,
                                 x6_model)
 from cdga.dga import TabularDGA
-from cdga.errors import (DegreeGap, NotACocycle, ParamOutOfRange,
-                         UnknownCorpusEntry, WrongDegree)
+from cdga.errors import (DegreeGap, DimensionMismatch, NotACocycle,
+                         NotInvertible, ParamOutOfRange, UnknownCorpusEntry,
+                         WrongDegree)
 
 from conftest import gysin_betti, sphere_product_tabular
 
@@ -200,10 +201,12 @@ class TestAutomorphisms:
             "y": dga.gen("y")})
         assert rho.cup_compatibility_failures() == []
         m2 = rho.matrix(2)
-        for i in range(m2.cols):
-            e = [Fraction(i == j) for j in range(m2.cols)]
-            assert m2.apply(m2.apply(e)) == tuple(e)
-        assert m2 != m2.identity(2)
+        identity = tuple(tuple(Fraction(i == j) for j in range(2))
+                         for i in range(2))
+        square = tuple(tuple(sum(m2[i][t] * m2[t][j] for t in range(2))
+                             for j in range(2)) for i in range(2))
+        assert square == identity
+        assert m2 != identity
 
     def test_duality_completion_agrees_with_chain_automorphism(self, q_summary):
         dga = q_summary.source
@@ -213,7 +216,7 @@ class TestAutomorphisms:
             "y": dga.gen("y")})
         completed = CohomologyAutomorphism.from_partial(
             q_summary, {2: chain.matrix(2)}, top_degree=7,
-            top_sign=int(chain.matrix(7).data[0][0]))
+            top_sign=int(chain.matrix(7)[0][0]))
         for r in range(8):
             assert completed.matrix(r) == chain.matrix(r), r
 
@@ -227,8 +230,27 @@ class TestAutomorphisms:
                 h, {"a": x if image == "x" else a + x, "x": x})
 
     def test_singular_matrix_rejected(self, q_summary):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotInvertible, match="degree-2 matrix is singular"):
             CohomologyAutomorphism(q_summary, {2: [[1, 0], [1, 0]]})
+        with pytest.raises(NotInvertible, match="degree-2 matrix is singular"):
+            CohomologyAutomorphism.from_partial(
+                q_summary, {2: [[1, 0], [1, 0]]}, top_degree=7)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1, 0, 0], [0, 1, 0]], "every row must have 2 entries"),
+        ([[1, 0], [1]], "every row must have 2 entries"),
+        ([[1, 0, 0]], "every row must have 2 entries"),
+        ([[1, 0]], "degree-2 matrix does not match b_2 = 2"),
+        ([], "degree-2 matrix does not match b_2 = 2")])
+    def test_shape_errors_check_the_rows_first(self, q_summary, rows,
+                                               message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            CohomologyAutomorphism(q_summary, {2: rows})
+
+    def test_completion_needs_a_one_dimensional_top(self, q_summary):
+        # b_2 = 2: no cup pairing into H^2 completes anything
+        with pytest.raises(DegreeGap, match="one-dimensional H\\^top"):
+            CohomologyAutomorphism.from_partial(q_summary, {}, top_degree=2)
 
     @pytest.mark.parametrize("r", [-1, 9])
     def test_degree_out_of_range(self, r):
@@ -317,7 +339,7 @@ class TestCupTableOracle:
         rho = CohomologyAutomorphism.from_partial(q_summary, {r: m},
                                                   top_degree=7, top_sign=sign)
         cr = 7 - r        # the one degree the completion derives
-        done = rho.matrix(cr).data
+        done = rho.matrix(cr)
         for i in range(2):
             for j in range(2):
                 paired = sum(m[a][i] * done[c][j] * q_cup[r, a, cr, c][0]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cdga.cohomology import compute
-from cdga.errors import BoundTooLow, NotACocycle, NotDefined
+from cdga.errors import BoundTooLow, NoSolution, NotACocycle, NotDefined
 from cdga.exactla import Subspace
 from cdga.massey import triple, try_triple
 
@@ -61,7 +61,7 @@ class TestExamples:
 
     def test_supplied_primitives_are_checked(self, q111):
         a2, a3 = q111.gen("a2"), q111.gen("a3")
-        with pytest.raises(ValueError):
+        with pytest.raises(NoSolution, match="do not bound the products"):
             triple(q111, a2, a2, a3, max_degree=5,
                    primitives=(q111.zero(), q111.zero()))
 

@@ -261,11 +261,16 @@ class TestMinimalModel:
         seen = []
 
         def spy(phi, source, tgt, k):
-            m = induced(phi, source, tgt, k)
+            cols, den = induced(phi, source, tgt, k)
             vecs = [tgt.class_coords(phi(r), degree=k)[1]
                     for r in source.representatives[k]]
-            seen.append((k, exactla.image(m), Subspace(tgt.betti[k], vecs)))
-            return m
+            # column i over den is the class vector of representative i
+            assert [tuple(Fraction(col.get(a, 0), den)
+                          for a in range(tgt.betti[k])) for col in cols] \
+                == vecs
+            seen.append((k, exactla.image(cols, tgt.betti[k]),
+                         Subspace(tgt.betti[k], vecs)))
+            return cols, den
 
         monkeypatch.setattr(sullivan, "induced", spy)
         minimal_model(target, 5)
