@@ -281,7 +281,7 @@ BAD_AUTOMORPHISMS = {
         "0": [["1"]], "1": [], "2": [["1", "0"], ["0", "1"]], "3": [],
         "4": [], "5": [["2", "0"], ["0", "1"]], "6": [], "7": [["1"]]}}),
     # an automorphism of a closed oriented manifold fixes or flips H^top;
-    # top_sign 2 gave b_7 = b_8 = 0, and 0 a singular degree-7 matrix
+    # 2 would give b_7 = b_8 = 0, and 0 a singular degree-7 matrix
     "top_sign_two": json.dumps({
         "kind": "partial", "top_degree": 7, "top_sign": 2,
         "matrices": {"2": [["0", "1"], ["1", "0"]]}}),
