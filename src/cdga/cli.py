@@ -28,7 +28,7 @@ from . import constructions, modelfile, sullivan
 from .cohomology import compute
 from .dga import DGA
 from .errors import (CdgaError, DimensionMismatch, ModelSyntaxError,
-                     NotDefined, NotInvertible)
+                     NotDefined, NotInvertible, ParamOutOfRange)
 from .expr import parse_expression
 from .massey import triple
 
@@ -249,11 +249,7 @@ def _build_automorphism(summary, doc):
             raise ModelSyntaxError(
                 f"top degree {top} needs a one-dimensional H^{top} within "
                 f"degrees 0..{summary.max_degree}", field="top_degree")
-        # a closed oriented manifold's automorphism fixes or flips H^top
         top_sign = modelfile.parse_integer(doc.get("top_sign", 1), "top_sign")
-        if top_sign not in (1, -1):
-            raise ModelSyntaxError("top_sign must be 1 or -1",
-                                   field="top_sign")
     try:
         if kind == "full":
             rho = constructions.CohomologyAutomorphism(summary, matrices)
@@ -262,6 +258,8 @@ def _build_automorphism(summary, doc):
                 summary, matrices, top_degree=top, top_sign=top_sign)
     except (NotInvertible, DimensionMismatch) as exc:   # singular or misshapen
         raise ModelSyntaxError(str(exc), field="matrices") from None
+    except ParamOutOfRange as exc:      # from_partial's top_sign check
+        raise ModelSyntaxError(str(exc), field="top_sign") from None
     # the matrices come from outside, so they may not respect cup products
     bad = rho.cup_compatibility_failures()
     if bad:

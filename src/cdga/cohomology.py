@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import exactla
 from .dga import DGA, TabularDGA
-from .errors import BoundTooLow, MixedAlgebra, NotACocycle
+from .errors import BoundTooLow, MixedAlgebra, NotACocycle, WrongDegree
 from .exactla import Subspace, int_rows
 from .gca import Element
 
@@ -197,16 +197,16 @@ class CohomologySummary:
             raise MixedAlgebra("element does not belong to this DGA")
         if e.is_zero():
             if degree is None:
-                raise ValueError("zero element needs an explicit degree")
+                raise WrongDegree("zero element needs an explicit degree")
             if degree < 0:
-                raise ValueError(f"degree must be >= 0, got {degree}")
+                raise BoundTooLow(f"degree must be >= 0, got {degree}")
             if degree > self.max_degree:
                 raise BoundTooLow(
                     f"degree {degree} beyond computed bound {self.max_degree}")
             return degree, tuple([Fraction(0)] * self.betti[degree])
         k = e.degree()
         if degree is not None and k != degree:
-            raise ValueError(f"element has degree {k}, expected {degree}")
+            raise WrongDegree(f"element has degree {k}, expected {degree}")
         if k > self.max_degree:
             raise BoundTooLow(f"degree {k} beyond computed bound {self.max_degree}")
         rep_rows = self._rep_rows[k]

@@ -7,6 +7,11 @@ H^r(torus) = ker(rho* - id on H^r) + nu ^ coker(rho* - id on H^{r-1}),
 with nu the distinguished degree-1 class.  An automorphism holds each
 degree as the Fraction rows a caller gives; the kernel, image and solver
 of exactla take the integer columns of rho* - id and of the pairing.
+
+The corpus is one table, _CORPUS, from entry name to builder: a new entry
+is one builder and one table line.  A builder's keyword-only parameters,
+with their defaults, are the entry's parameters; corpus() refuses any
+other, then a missing one without a default, before it calls the builder.
 """
 
 from __future__ import annotations
@@ -214,6 +219,7 @@ class CohomologyAutomorphism:
     def from_partial(cls, summary, partial, top_degree, top_sign=1):
         """Completes given degree matrices via the cup pairing into H^top.
 
+        A top_sign other than 1 or -1 raises ParamOutOfRange.
         The given matrices are checked as the constructor checks them.  For
         each known degree r with unknown complement n-r, <rho x, rho y> =
         top_sign * <x, y> gives A M_{n-r} = top_sign * P, with A[i][j] =
@@ -222,6 +228,8 @@ class CohomologyAutomorphism:
         H^top that is not one-dimensional.  Degrees with b_r = 0 need no
         data.
         """
+        if top_sign not in (1, -1):
+            raise ParamOutOfRange("top_sign must be 1 or -1")
         n = top_degree
         _check_degree(summary, n)
         if summary.betti[n] != 1:
@@ -409,32 +417,18 @@ def del_pezzo_s2_tabular(k) -> TabularDGA:
     """(H^*(P_k x S^2), 0): P_k a k-point blow-up of the projective plane.
 
     Degree-2 classes a, a_1..a_k, b with a^2 = -a_i^2 = nu, a*a_i = 0,
-    a_i*a_j = 0 (i != j), b^2 = 0; top class nu*b in degree 6.
+    a_i*a_j = 0 (i != j), b^2 = 0; top class nu*b in degree 6.  Only the
+    nonzero products are listed: TabularDGA reads an unlisted pair as zero.
     """
     basis = [("1", 0), ("a", 2)] + [(f"a{i}", 2) for i in range(1, k + 1)]
     basis += [("b", 2), ("nu", 4), ("ab", 4)]
-    basis += [(f"a{i}b", 4) for i in range(1, k + 1)]
-    basis += [("nub", 6)]
-    products = {
-        ("a", "a"): {"nu": 1},
-        ("b", "b"): {},
-        ("a", "b"): {"ab": 1},
-        ("a", "nu"): {},
-        ("a", "ab"): {"nub": 1},
-        ("nu", "b"): {"nub": 1},
-        ("ab", "ab"): {},
-    }
+    basis += [(f"a{i}b", 4) for i in range(1, k + 1)] + [("nub", 6)]
+    products = {("a", "a"): {"nu": 1}, ("a", "b"): {"ab": 1},
+                ("a", "ab"): {"nub": 1}, ("nu", "b"): {"nub": 1}}
     for i in range(1, k + 1):
         products[(f"a{i}", f"a{i}")] = {"nu": -1}
-        products[("a", f"a{i}")] = {}
         products[(f"a{i}", "b")] = {f"a{i}b": 1}
-        products[(f"a{i}", "ab")] = {}
-        products[("a", f"a{i}b")] = {}
         products[(f"a{i}", f"a{i}b")] = {"nub": -1}
-        for j in range(i + 1, k + 1):
-            products[(f"a{i}", f"a{j}")] = {}
-            products[(f"a{i}", f"a{j}b")] = {}
-            products[(f"a{j}", f"a{i}b")] = {}
     return TabularDGA(basis, products, {})
 
 
@@ -484,142 +478,138 @@ def _circle_times_s2_like_model():
     return DGA(alg, {"x": alg.gen("b") ** 2})
 
 
+def _torus_entry(name, auto, fibre, model, provenance, **parameters):
+    """The mapping torus of auto, with model as its formality stand-in."""
+    return CorpusEntry(
+        name=name, kind="cohomology", dimension=8,
+        obj=mapping_torus_cohomology(auto.summary, auto),
+        parameters=parameters, provenance=provenance,
+        metadata={"fibre": fibre, "rho": auto, "formality_model": model})
+
+
 def _q111_torus_entry():
     dga = q_model((1, 1, 1))
-    h = compute(dga, 7, with_cup=False)
-    rho = CohomologyAutomorphism.from_dga_automorphism(h, {
-        "a1": dga.gen("a2"), "a2": dga.gen("a1"), "a3": dga.gen("a3"),
-        "x1": dga.gen("x2"), "x2": dga.gen("x1"), "x3": dga.gen("x3"),
-        "y": dga.gen("y")})
-    rho.provenance.append(
+    auto = CohomologyAutomorphism.from_dga_automorphism(
+        compute(dga, 7, with_cup=False), {
+            "a1": dga.gen("a2"), "a2": dga.gen("a1"), "a3": dga.gen("a3"),
+            "x1": dga.gen("x2"), "x2": dga.gen("x1"), "x3": dga.gen("x3"),
+            "y": dga.gen("y")})
+    auto.provenance.append(
         "degree-2 action swaps the two surviving classes; higher degrees "
         "induced by the generator swap a1<->a2, x1<->x2")
-    torus = mapping_torus_cohomology(h, rho)
-    return CorpusEntry(
-        name="q111-torus", kind="cohomology", obj=torus, dimension=8,
-        parameters={"e": (1, 1, 1)},
-        provenance=["mapping torus of the swap automorphism of the "
-                    "Q(1,1,1) model"] + rho.provenance,
-        metadata={"fibre": "q111", "rho": rho,
-                  "formality_model": _circle_times_s2_like_model()})
+    return _torus_entry(
+        "q111-torus", auto, "q111", _circle_times_s2_like_model(),
+        ["mapping torus of the swap automorphism of the Q(1,1,1) model"]
+        + auto.provenance, e=(1, 1, 1))
 
 
 def _berger_torus_entry():
-    dga = s3_bundle_model(s4_model(), -10)
-    h = compute(dga, 7, with_cup=False)
-    rho = CohomologyAutomorphism.identity(h)
-    torus = mapping_torus_cohomology(h, rho)
-    return CorpusEntry(
-        name="berger-torus", kind="cohomology", obj=torus, dimension=8,
-        provenance=["mapping torus of a rational homology 7-sphere; the "
-                    "identity is the only rational cohomology automorphism"],
-        metadata={"fibre": "berger", "rho": rho,
-                  "formality_model": _free_line_model()})
+    h = compute(s3_bundle_model(s4_model(), -10), 7, with_cup=False)
+    return _torus_entry(
+        "berger-torus", CohomologyAutomorphism.identity(h), "berger",
+        _free_line_model(),
+        ["mapping torus of a rational homology 7-sphere; the identity is "
+         "the only rational cohomology automorphism"])
 
 
-def _w_torus_entry(rho_kind="id"):
-    dga = lens_bundle_cp2_model(1)
-    h = compute(dga, 7, with_cup=False)
-    if rho_kind == "id":
-        rho = CohomologyAutomorphism.identity(h)
+def _w_torus_entry(*, rho="id"):
+    h = compute(lens_bundle_cp2_model(1), 7, with_cup=False)
+    if rho == "id":
+        auto = CohomologyAutomorphism.identity(h)
         model = _circle_times_s2_like_model()
-    elif rho_kind == "flip":
-        rho = CohomologyAutomorphism.from_partial(
+    elif rho == "flip":
+        auto = CohomologyAutomorphism.from_partial(
             h, {2: [[Fraction(-1)]]}, top_degree=7, top_sign=1)
         model = _free_line_model()
     else:
         raise ParamOutOfRange("rho must be 'id' or 'flip'")
-    torus = mapping_torus_cohomology(h, rho)
+    return _torus_entry(
+        "w-torus", auto, "aloff-wallach", model,
+        ["mapping torus over the rational S^2 x S^5 cohomology; degree-5 "
+         "action completed through the cup pairing with orientation sign "
+         "+1"], rho=rho)
+
+
+def _q111_entry(*, e=(1, 1, 1)):
+    _rationals("e", e, 3)
     return CorpusEntry(
-        name="w-torus", kind="cohomology", obj=torus, dimension=8,
-        parameters={"rho": rho_kind},
-        provenance=["mapping torus over the rational S^2 x S^5 cohomology; "
-                    "degree-5 action completed through the cup pairing with "
-                    "orientation sign +1"],
-        metadata={"fibre": "aloff-wallach", "rho": rho,
-                  "formality_model": model})
+        name="q111", kind="dga", obj=q_model(e), dimension=7,
+        parameters={"e": tuple(e)},
+        provenance=[f"circle bundle over (S^2)^3 with Euler class "
+                    f"{e[0]}*a1 + {e[1]}*a2 + {e[2]}*a3"])
+
+
+def _s_k_entry(*, k, epsilon=None, N=None):
+    obj, ledger = s_k_model(k, epsilon, N)
+    return CorpusEntry(
+        name=f"s_{ledger['k']}", kind="tabular", obj=obj, dimension=7,
+        parameters=ledger,
+        provenance=["circle bundle over the formal model of "
+                    f"P_{ledger['k']} x S^2 with Euler class "
+                    "N*(a - sum_i eps_i*a_i + b)"],
+        metadata={"defaults": "epsilon_i = 1/(2k), N = 2k"})
+
+
+def _berger_entry():
+    return CorpusEntry(
+        name="berger", kind="dga", obj=s3_bundle_model(s4_model(), -10),
+        dimension=7, parameters={"e": -10},
+        provenance=["S^3-bundle over S^4 with Euler number -10"])
+
+
+def _aloff_wallach_entry(*, k=1, l=1):
+    k, l = _integer("k", k), _integer("l", l)
+    if k == 0 and l == 0:
+        raise ParamOutOfRange("(k, l) must be nonzero")
+    p = abs(k + l)
+    if p > 0:
+        obj = lens_bundle_cp2_model(p)
+        prov = [f"rational S^3-fibration over CP^2, lens fibre of "
+                f"order p = |k+l| = {p}, Euler coefficient e = p"]
+    else:
+        obj, _ = s1s2_bundle_cp2_model(1, 0, 0)
+        prov = ["S^1 x S^2 bundle over CP^2 with e = 1, f = h = 0 "
+                "(the rational model when k + l = 0)"]
+    return CorpusEntry(
+        name="aloff-wallach", kind="dga", obj=obj, dimension=7,
+        parameters={"k": k, "l": l, "p": p}, provenance=prov,
+        metadata={"note": "torsion between lens fibres is invisible "
+                          "rationally; recorded as metadata only"})
+
+
+def _x6_entry(*, f=1):
+    f = _rational("f", f)
+    return CorpusEntry(
+        name="x6", kind="dga", obj=x6_model(f), dimension=6,
+        parameters={"f": f},
+        provenance=["S^2-bundle over CP^2 with twisting coefficient f"])
+
+
+_CORPUS = {"q111": _q111_entry, "s_k": _s_k_entry, "berger": _berger_entry,
+           "aloff-wallach": _aloff_wallach_entry, "x6": _x6_entry,
+           "q111-torus": _q111_torus_entry,
+           "berger-torus": _berger_torus_entry, "w-torus": _w_torus_entry}
+CORPUS_NAMES = tuple(_CORPUS)
 
 
 def corpus(name, **params) -> CorpusEntry:
-    """A named, validated example model with its parameter ledger."""
+    """A named, validated example model with its parameter ledger; the name
+    is matched case-insensitively, with _ and - alike (sk for s_k)."""
     key = name.lower().replace("_", "-")
-    if key == "q111":
-        e = params.pop("e", (1, 1, 1))
-        _reject_extra(params)
-        _rationals("e", e, 3)
-        return CorpusEntry(
-            name="q111", kind="dga", obj=q_model(e), dimension=7,
-            parameters={"e": tuple(e)},
-            provenance=[f"circle bundle over (S^2)^3 with Euler class "
-                        f"{e[0]}*a1 + {e[1]}*a2 + {e[2]}*a3"])
-    if key in ("s-k", "sk"):
-        if "k" not in params:
-            raise ParamOutOfRange("s_k needs the parameter k")
-        k = params.pop("k")
-        eps = params.pop("epsilon", None)
-        big_n = params.pop("N", None)
-        _reject_extra(params)
-        obj, ledger = s_k_model(k, eps, big_n)
-        return CorpusEntry(
-            name=f"s_{ledger['k']}", kind="tabular", obj=obj, dimension=7,
-            parameters=ledger,
-            provenance=["circle bundle over the formal model of "
-                        f"P_{ledger['k']} x S^2 with Euler class "
-                        "N*(a - sum_i eps_i*a_i + b)"],
-            metadata={"defaults": "epsilon_i = 1/(2k), N = 2k"})
-    if key == "berger":
-        _reject_extra(params)
-        return CorpusEntry(
-            name="berger", kind="dga", obj=s3_bundle_model(s4_model(), -10),
-            dimension=7, parameters={"e": -10},
-            provenance=["S^3-bundle over S^4 with Euler number -10"])
-    if key == "aloff-wallach":
-        k = _integer("k", params.pop("k", 1))
-        l = _integer("l", params.pop("l", 1))
-        _reject_extra(params)
-        if k == 0 and l == 0:
-            raise ParamOutOfRange("(k, l) must be nonzero")
-        p = abs(k + l)
-        if p > 0:
-            obj = lens_bundle_cp2_model(p)
-            prov = [f"rational S^3-fibration over CP^2, lens fibre of "
-                    f"order p = |k+l| = {p}, Euler coefficient e = p"]
-        else:
-            obj, ledger = s1s2_bundle_cp2_model(1, 0, 0)
-            prov = ["S^1 x S^2 bundle over CP^2 with e = 1, f = h = 0 "
-                    "(the rational model when k + l = 0)"]
-        return CorpusEntry(
-            name="aloff-wallach", kind="dga", obj=obj, dimension=7,
-            parameters={"k": k, "l": l, "p": p}, provenance=prov,
-            metadata={"note": "torsion between lens fibres is invisible "
-                              "rationally; recorded as metadata only"})
-    if key == "x6":
-        f = _rational("f", params.pop("f", 1))
-        _reject_extra(params)
-        return CorpusEntry(
-            name="x6", kind="dga", obj=x6_model(f), dimension=6,
-            parameters={"f": f},
-            provenance=["S^2-bundle over CP^2 with twisting coefficient f"])
-    if key == "q111-torus":
-        _reject_extra(params)
-        return _q111_torus_entry()
-    if key == "berger-torus":
-        _reject_extra(params)
-        return _berger_torus_entry()
-    if key == "w-torus":
-        rho_kind = params.pop("rho", "id")
-        _reject_extra(params)
-        return _w_torus_entry(rho_kind)
-    raise UnknownCorpusEntry(f"no corpus entry named {name!r}")
-
-
-CORPUS_NAMES = ("q111", "s_k", "berger", "aloff-wallach", "x6",
-                "q111-torus", "berger-torus", "w-torus")
-
-
-def _reject_extra(params):
-    if params:
-        raise ParamOutOfRange(f"unknown parameters: {sorted(params)}")
+    for entry, build in _CORPUS.items():
+        if key in (entry.replace("_", "-"), entry.replace("_", "")):
+            break
+    else:
+        raise UnknownCorpusEntry(f"no corpus entry named {name!r}")
+    # the builder's keyword-only parameter names lead its local names
+    known = build.__code__.co_varnames[:build.__code__.co_kwonlyargcount]
+    extra = sorted(params.keys() - set(known))
+    if extra:
+        raise ParamOutOfRange(f"unknown parameters: {extra}")
+    for p in known:
+        if p not in params and p not in (build.__kwdefaults__ or {}):
+            raise ParamOutOfRange(f"{entry} needs the parameter {p}")
+    return build(**params)
 
 
 def _integer(name, value):

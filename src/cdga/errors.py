@@ -67,7 +67,8 @@ class UnknownCorpusEntry(CdgaError):
 
 
 class ParamOutOfRange(CdgaError):
-    """A corpus parameter is outside its documented range."""
+    """A corpus or construction parameter is outside its documented
+    range, such as a top_sign other than 1 or -1."""
 
 
 class ModelTooLarge(CdgaError):

@@ -47,9 +47,10 @@ def tokenize(text, field=None):
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as superscripts
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("num", int(text[i:j]), line, start_col))
             col += j - i

@@ -383,6 +383,33 @@ def s_formality_check(model, s, degree_cap,
         witness={"kind": "splitting", "splitting": splitting})
 
 
+def _duality_failure(summary, n, cap):
+    """The first condition of Poincare duality in dimension n that the
+    cohomology in summary fails through degree cap, or None: cap >= n,
+    b_k = 0 for n < k <= cap (b_0 = 1 fails it for n < 0), b_n = 1, and a
+    nondegenerate pairing H^r x H^{n-r} -> H^n for each r <= n/2."""
+    if cap < n:
+        return f"the degree cap {cap} is below the dimension {n}"
+    betti = summary.betti
+    for k in range(max(n + 1, 0), cap + 1):
+        if betti[k]:
+            return f"b_{k} = {betti[k]} above the dimension {n}"
+    if betti[n] != 1:
+        return f"b_{n} = {betti[n]}, not 1"
+    reps = summary.representatives
+    for r in range(n // 2 + 1):
+        if betti[r] != betti[n - r]:
+            return f"b_{r} = {betti[r]} but b_{n - r} = {betti[n - r]}"
+        if r == 0:      # the unit times the top class is the top class
+            continue
+        # the matrix of <x_i, y_j> must be invertible
+        rows = [[summary.class_coords(x * y, degree=n)[1][0]
+                 for y in reps[n - r]] for x in reps[r]]
+        if exactla.Subspace(betti[r], rows).dim != betti[r]:
+            return f"the pairing H^{r} x H^{n - r} -> H^{n} is degenerate"
+    return None
+
+
 def formality(obj, dimension, s=None, cap=None,
               max_dim=DEFAULT_DIM_BUDGET, summary=None) -> FormalityVerdict:
     """Formality verdict for a model of a closed orientable manifold.
@@ -394,6 +421,15 @@ def formality(obj, dimension, s=None, cap=None,
     degree cap may be passed in.  A cap below 2 raises BoundTooLow; so
     does a cap below s + 1 when no Massey product answers and the
     s-formality check would run, before any model is built.
+
+    The shortcut and "s-formal implies formal" are theorems about closed
+    orientable manifolds, so each applies only when the cohomology passes
+    a Poincare duality check through the cap: cap >= dimension, b_n = 1,
+    b_k = 0 for n < k <= cap and a nondegenerate pairing into H^n.  A
+    minimal obj generated in degrees <= s needs no check: s-formal is then
+    formal by definition.  Where a failed check refuses a theorem, the
+    Massey search still runs; a verdict left Inconclusive gets a note naming
+    the failed condition.  H^k above the cap is not checked.
     """
     cap = cap if cap is not None else dimension + 1
     s = s if s is not None else required_s(dimension)
@@ -406,12 +442,16 @@ def formality(obj, dimension, s=None, cap=None,
     else:
         summary.require(obj, cap)
     b1, b2 = summary.betti[1], summary.betti[2]
+    failure = None      # the failed duality condition, once checked
 
     if dimension == 7 and b1 == 0 and b2 <= 1:
-        return FormalityVerdict(
-            status="Formal", formal_dimension=7,
-            witness={"kind": "b2_shortcut", "b1": b1, "b2": b2},
-            notes=["7-manifolds with b1=0 and b2<=1 are 3-formal, so formal"])
+        failure = _duality_failure(summary, dimension, cap)
+        if failure is None:
+            return FormalityVerdict(
+                status="Formal", formal_dimension=7,
+                witness={"kind": "b2_shortcut", "b1": b1, "b2": b2},
+                notes=["7-manifolds with b1=0 and b2<=1 are 3-formal, so "
+                       "formal"])
 
     found = massey_search(obj, summary, cap)
     if found is not None:
@@ -442,11 +482,21 @@ def formality(obj, dimension, s=None, cap=None,
     verdict = s_formality_check(model, s, cap, max_dim=max_dim)
     verdict.formal_dimension = dimension
     if verdict.s_formal and s >= required_s(dimension):
-        verdict.status = "Formal"
-        verdict.notes.append(
-            f"{s}-formal and s >= {required_s(dimension)} for a declared "
-            f"formal dimension {dimension} "
-            "(manifoldness is trusted, not verified)")
+        by_definition = minimal and all(
+            g.degree <= s for g in obj.algebra.generators)
+        if not by_definition and failure is None:
+            failure = _duality_failure(summary, dimension, cap)
+        if by_definition or failure is None:
+            verdict.status = "Formal"
+            verdict.notes.append(
+                f"{s}-formal and s >= {required_s(dimension)} for a declared "
+                f"formal dimension {dimension} "
+                "(manifoldness is trusted, not verified)")
     elif verdict.s_formal:
         verdict.notes.append(f"{s}-formal, but no usable formal dimension")
+    if failure is not None and verdict.status != "Formal":
+        verdict.notes.append(
+            f"not a Poincare duality algebra in dimension {dimension} "
+            f"through degree {cap} ({failure}), so no manifold theorem "
+            "applies")
     return verdict

@@ -53,6 +53,16 @@ CP2_TEXT = json.dumps({
 })
 
 
+# Lambda(x_3, y_3, z_5), dz = xy: b = 1,0,0,2,0,0,0,0,2,0,0,1, so no closed
+# 7-manifold; <x, x, y> = [xz] with zero indeterminacy, in degree 8
+DUALITY_PROBE_TEXT = json.dumps({
+    "kind": "free",
+    "generators": [{"name": "x", "degree": 3}, {"name": "y", "degree": 3},
+                   {"name": "z", "degree": 5}],
+    "differential": {"z": "x*y"},
+})
+
+
 class TestCommands:
     def test_validate(self, tmp_path):
         path = tmp_path / "cp2.json"
@@ -136,6 +146,15 @@ class TestCommands:
                              "--cap", "7"], stdin_text=q_text)
         assert json.loads(out)["result"]["status"] == "Formal"
         assert code == 0
+
+    @pytest.mark.parametrize("cap, status", [
+        ([], "NonFormal"), (["--cap", "7"], "Inconclusive")],
+        ids=["default-cap", "cap-7"])
+    def test_no_manifold_theorem_without_duality(self, cap, status):
+        code, out = run_cli(["formality", "-", "--dimension", "7", *cap],
+                            stdin_text=DUALITY_PROBE_TEXT)
+        assert code == 0
+        assert json.loads(out)["result"]["status"] == status
 
     def test_circle_bundle_pipes_into_cohomology(self, tmp_path):
         base = json.dumps({
@@ -439,6 +458,19 @@ class TestBadInput:
         assert error["location"] == {"field": field}
         if case.startswith("unknown"):
             assert error["detail"] == "unknown basis label 'z'"
+
+    def test_superscript_exponent(self):
+        # str.isdigit accepts the superscript, which int() refuses
+        doc = {"kind": "free",
+               "generators": [{"name": "a", "degree": 2},
+                              {"name": "x", "degree": 3}],
+               "differential": {"x": "a^\u00b2"}}
+        error = error_of(*run_cli(["validate", "-"],
+                                  stdin_text=json.dumps(doc)))
+        assert error == {"kind": "ModelSyntaxError",
+                         "detail": "unexpected character '\u00b2'",
+                         "location": {"field": "differential.x", "line": 1,
+                                      "column": 3}}
 
     @pytest.mark.parametrize("doc, size", [
         ({"kind": "free", "generators": None}, 0),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cdga.cohomology import ChainComplex, compute, is_exact
 from cdga.constructions import CORPUS_NAMES, corpus, s_k_model, x6_model
 from cdga.dga import DGA, TabularDGA
-from cdga.errors import BoundTooLow, NotACocycle
+from cdga.errors import BoundTooLow, NotACocycle, WrongDegree
 from cdga.gca import Algebra, linear_combination
 
 from conftest import naive_d
@@ -96,9 +96,16 @@ class TestExamples:
 
     def test_zero_class_needs_degree(self, cp2):
         s = compute(cp2, 2, with_cup=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(WrongDegree,
+                           match="^zero element needs an explicit degree$"):
             s.class_coords(cp2.zero())
         assert s.class_coords(cp2.zero(), degree=2) == (2, (Fraction(0),))
+
+    def test_class_of_another_degree_is_refused(self, cp2):
+        s = compute(cp2, 4, with_cup=False)
+        with pytest.raises(WrongDegree,
+                           match="^element has degree 2, expected 3$"):
+            s.class_coords(cp2.gen("a"), degree=3)
 
     @pytest.mark.parametrize("kind", ["free", "tabular"])
     def test_zero_class_degree_is_checked(self, kind, cp2):
@@ -106,7 +113,7 @@ class TestExamples:
         s = compute(obj, 4, with_cup=False)
         assert s.class_coords(obj.zero(), degree=0) == (0, (Fraction(0),))
         assert s.class_coords(obj.zero(), degree=4)[0] == 4
-        with pytest.raises(ValueError, match="degree must be >= 0"):
+        with pytest.raises(BoundTooLow, match="^degree must be >= 0, got -1$"):
             s.class_coords(obj.zero(), degree=-1)
         with pytest.raises(BoundTooLow,
                            match="degree 5 beyond computed bound 4"):

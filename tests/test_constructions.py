@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdga.cohomology import compute
-from cdga.constructions import (CohomologyAutomorphism, circle_bundle_model,
-                                corpus, cp2_model, del_pezzo_s2_tabular,
-                                lens_bundle_cp2_model,
+from cdga.constructions import (CORPUS_NAMES, CohomologyAutomorphism,
+                                circle_bundle_model, corpus, cp2_model,
+                                del_pezzo_s2_tabular, lens_bundle_cp2_model,
                                 mapping_torus_cohomology, q_model,
                                 s1s2_bundle_cp2_model, s2_cubed_model,
                                 s3_bundle_model, s4_model, s_k_model,
@@ -252,6 +252,19 @@ class TestAutomorphisms:
         with pytest.raises(DegreeGap, match="one-dimensional H\\^top"):
             CohomologyAutomorphism.from_partial(q_summary, {}, top_degree=2)
 
+    @pytest.mark.parametrize("top_sign", [2, 0, -2])
+    def test_top_sign_must_be_one_or_minus_one(self, q_summary, top_sign):
+        # top_sign 2 with the swap gave Betti numbers 1, 1, 1, 1, 0, 0, 0,
+        # 0, 0, which no closed oriented 8-manifold has; the sign is
+        # checked before the top degree and the matrices
+        for top_degree, partial in ((7, {2: [[0, 1], [1, 0]]}),
+                                    (2, {2: [[1, 0], [1, 0]]})):
+            with pytest.raises(ParamOutOfRange,
+                               match="^top_sign must be 1 or -1$"):
+                CohomologyAutomorphism.from_partial(
+                    q_summary, partial, top_degree=top_degree,
+                    top_sign=top_sign)
+
     @pytest.mark.parametrize("r", [-1, 9])
     def test_degree_out_of_range(self, r):
         # the W model has b = 1,0,1,0,0,1,0,1: degree -1 must not read b_7
@@ -427,6 +440,43 @@ class TestCorpus:
     def test_extra_parameters_rejected(self):
         with pytest.raises(ParamOutOfRange):
             corpus("berger", k=1)
+
+    def test_names_come_from_the_table(self):
+        assert CORPUS_NAMES == ("q111", "s_k", "berger", "aloff-wallach",
+                                "x6", "q111-torus", "berger-torus", "w-torus")
+
+    @pytest.mark.parametrize("spelling, name", [
+        ("Q111", "q111"), ("sk", "s_3"), ("SK", "s_3"), ("s-k", "s_3"),
+        ("S_K", "s_3"), ("BERGER", "berger"),
+        ("Aloff_Wallach", "aloff-wallach"), ("x6", "x6"),
+        ("Q111_Torus", "q111-torus"), ("berger_torus", "berger-torus"),
+        ("W-TORUS", "w-torus")])
+    def test_every_spelling_is_accepted(self, spelling, name):
+        params = {"k": 3} if name == "s_3" else {}
+        assert corpus(spelling, **params).name == name
+
+    @pytest.mark.parametrize("spelling", [
+        "s", "s__k", "ks", "q111torus", "aloffwallach", "q111 ", ""])
+    def test_other_spellings_are_unknown(self, spelling):
+        with pytest.raises(UnknownCorpusEntry,
+                           match=f"^no corpus entry named {spelling!r}$"):
+            corpus(spelling)
+
+    @pytest.mark.parametrize("name, params", [
+        ("x6", {"f": "x", "g": 1}), ("s-k", {"l": 1}),
+        ("aloff-wallach", {"k": 0, "l": 0, "g": 1}),
+        ("w-torus", {"rho": "bad", "g": 1}), ("q111", {"e": 5, "g": 1})])
+    def test_unknown_parameters_are_checked_first(self, name, params):
+        with pytest.raises(ParamOutOfRange,
+                           match=r"^unknown parameters: \['(g|l)'\]$"):
+            corpus(name, **params)
+
+    def test_a_parameter_without_default_must_be_given(self):
+        with pytest.raises(ParamOutOfRange,
+                           match="^s_k needs the parameter k$"):
+            corpus("s_k", epsilon=[Fraction(1, 6)] * 3)
+        with pytest.raises(ParamOutOfRange, match="^k must be an integer"):
+            corpus("s_k", k=None)
 
     def test_aloff_wallach_generic(self):
         entry = corpus("aloff-wallach", k=1, l=1)

@@ -118,6 +118,18 @@ class TestDiagnostics:
         with pytest.raises(ModelSyntaxError):
             parse("a^b")
 
+    def test_numbers_are_decimal_digits(self):
+        # int() refuses a superscript digit, so it never starts a number;
+        # other decimal digits read as int() reads them
+        with pytest.raises(ModelSyntaxError,
+                           match="^unexpected character '\u00b2'$") as exc:
+            parse("a^\u00b2")
+        assert (exc.value.line, exc.value.column) == (1, 3)
+        with pytest.raises(UnknownIdentifier) as exc:
+            parse("a\u00b2")
+        assert exc.value.column == 1
+        assert parse("\u0663a") == ALG.gen("a") * 3
+
     def test_field_is_carried_in_errors(self):
         with pytest.raises(ModelSyntaxError) as exc:
             parse_expression("qq", ALG, field="differential.x")

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdga import exactla, massey, sullivan
 from cdga.cohomology import ChainComplex, compute
@@ -21,7 +22,8 @@ from cdga.sullivan import (DgaMorphism, FormalityVerdict, formality,
                            induced, is_quasi_iso, minimal_model, required_s,
                            massey_search, s_formality_check)
 from conftest import (naive_massey_search, naive_morphism_image,
-                      poincare_coefficient, recomputing_minimal_model)
+                      poincare_coefficient, recomputing_minimal_model,
+                      sphere_product_tabular)
 
 
 def tabular_cohomology_of(dga, bound):
@@ -428,6 +430,41 @@ class TestCoverCheck:
         self.CALLERS[caller](cp2, compute(cp2, 6, with_cup=False))
 
 
+def duality_probe():
+    """Lambda(x_3, y_3, z_5), dz = xy: minimal, but no Poincare duality
+    algebra in dimension 7."""
+    alg = Algebra([("x", 3), ("y", 3), ("z", 5)])
+    return DGA(alg, {"z": alg.gen("x") * alg.gen("y")})
+
+
+@st.composite
+def non_duality_tables(draw):
+    """(Tabular algebra with d = 0, dimension n) whose cohomology fails the
+    duality check in dimension n through degree n + 1: a product of spheres
+    of degrees >= 2 truncated below degree n, so b_n = 0, or a table with
+    every product zero, a top class in degree n and classes between, whose
+    pairing into the top class is zero."""
+    n = draw(st.sampled_from([5, 6, 7, 7, 8]))
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+        return sphere_product_tabular(degrees, n - 1), n
+    middle = draw(st.lists(st.integers(2, n - 2), min_size=1, max_size=3))
+    return TabularDGA([("1", 0)] + [(f"c{i}", d) for i, d in enumerate(middle)]
+                      + [("top", n)]), n
+
+
+@settings(deadline=None)
+@given(non_duality_tables())
+def test_no_formal_verdict_from_a_theorem_whose_hypothesis_fails(table):
+    # a tabular algebra is never the minimal model itself, so neither the
+    # b2 shortcut nor "s-formal implies formal" may answer
+    obj, n = table
+    verdict = formality(obj, n)
+    assert verdict.status != "Formal", verdict
+    if verdict.s_formal:
+        assert "no manifold theorem applies" in verdict.notes[-1]
+
+
 X6_SPLIT = {1: {"C": 0, "N": 0}, 2: {"C": 2, "N": 0}}
 Q100_SPLIT = {**X6_SPLIT, 3: {"C": 1, "N": 2}}
 
@@ -464,8 +501,51 @@ class TestFormalityDriver:
                "q100": lambda: q_model((1, 0, 0)),
                "circle-times-s2": _circle_times_s2_like_model}[name]()
         verdict = formality(obj, dimension)
-        assert verdict.status == "Formal"
+        # Berger's b_8 = 0, so it is no 8-manifold either: 3-formal, but
+        # no theorem makes that formal
+        assert verdict.status == ("Inconclusive" if dimension == 8
+                                  else "Formal")
         assert verdict.witness["kind"] == kind
+
+    @pytest.mark.parametrize("cap, status", [
+        (None, "NonFormal"), (7, "Inconclusive")], ids=["default-cap", "cap-7"])
+    def test_no_manifold_theorem_without_duality(self, cap, status):
+        # b = 1,0,0,2,0,0,0,0,2,0,0,1: no closed 7-manifold, and <x, x, y>
+        # = [xz] with zero indeterminacy, in degree 8
+        obj = duality_probe()
+        verdict = formality(obj, 7, cap=cap)
+        assert verdict.status == status
+        if cap is None:
+            assert verdict.witness["classes"] == ["x", "x", "y"]
+            assert verdict.witness["degree"] == 8
+        else:
+            assert verdict.s_formal is True
+            assert verdict.notes == [
+                "not a Poincare duality algebra in dimension 7 through "
+                "degree 7 (b_7 = 0, not 1), so no manifold theorem applies"]
+
+    @pytest.mark.parametrize("obj, dimension, cap, failure", [
+        ("cp2", 4, 5, None),
+        ("cp2", 4, 3, "the degree cap 3 is below the dimension 4"),
+        ("cp2", 6, 7, "b_6 = 0, not 1"),
+        ("cp2", 2, 4, "b_4 = 1 above the dimension 2"),
+        ("cp2", -3, 5, "b_0 = 1 above the dimension -3"),
+        ("s2_wedge_s4", 6, 7,
+         "the pairing H^2 x H^4 -> H^6 is degenerate"),
+        ("s2_and_top", 5, 6, "b_2 = 1 but b_3 = 0")], ids=[
+            "cp2-passes", "cap-below-dimension", "no-top-class",
+            "class-above-dimension", "negative-dimension", "zero-pairing",
+            "unequal-betti"])
+    def test_duality_failures_are_named(self, obj, dimension, cap, failure):
+        # tables with every product zero: a class between 0 and the top
+        # pairs to zero
+        obj = {"cp2": cp2_model,
+               "s2_wedge_s4": lambda: TabularDGA(
+                   [("1", 0), ("a", 2), ("b", 4), ("t", 6)]),
+               "s2_and_top": lambda: TabularDGA(
+                   [("1", 0), ("a", 2), ("t", 5)])}[obj]()
+        summary = compute(obj, cap, with_cup=False)
+        assert sullivan._duality_failure(summary, dimension, cap) == failure
 
     @pytest.mark.parametrize("name, dimension, s, want", [
         ("berger", 7, None, FormalityVerdict(
